@@ -26,7 +26,6 @@ from .connections import (
     berwald_coeffs,
     cartan_hcoeffs,
     geodesic_integrate,
-    h_cov_deriv,
 )
 from .curvature import (
     hh_curvature,

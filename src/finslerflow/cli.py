@@ -104,7 +104,10 @@ def _load_config_defaults(argv):
     """Pre-scan for --config and return its JSON contents (flags override)."""
     cfg = {}
     if argv and "--config" in argv:
-        path = argv[argv.index("--config") + 1]
+        at = argv.index("--config") + 1
+        if at == len(argv):
+            raise UsageError("--config needs a path")
+        path = argv[at]
         try:
             with open(path) as fh:
                 cfg = json.load(fh)
@@ -142,7 +145,11 @@ def cmd_validate(args) -> int:
                 fh, indent=2, sort_keys=True,
             )
             fh.write("\n")
-    return EXIT_OK if report.passed else EXIT_NUMERICAL
+    if not report.passed:
+        failed = {k: w for k, (ok, w) in report.checks.items() if not ok}
+        _error_record(EXIT_NUMERICAL, "validity checks failed", detail=failed)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def cmd_report(args) -> int:
@@ -246,7 +253,10 @@ def cmd_verify_identities(args) -> int:
         with open(os.path.join(args.out, "identities.json"), "w") as fh:
             json.dump(results, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return EXIT_OK if not failures else EXIT_NUMERICAL
+    if failures:
+        _error_record(EXIT_NUMERICAL, "identity residuals over tolerance", detail=failures)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def cmd_flow(args) -> int:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .jets import Jet
 from .structures import FinslerStructure, SingularMetricError, f2_jets
 
@@ -17,7 +18,6 @@ __all__ = [
     "cartan_hcoeffs",
     "geodesic_integrate",
     "GeodesicPath",
-    "h_cov_deriv",
 ]
 
 
@@ -77,6 +77,23 @@ class PointAssembly:
             self._cache[key] = builder()
         return self._cache[key]
 
+    def values(self, jets, base_deriv: bool = False) -> np.ndarray:
+        """Values of a nested list of jets as one array, component axes last.
+
+        With ``base_deriv`` a further last axis k holds the values of d/dx^k.
+        """
+        comps = np.array(jets, dtype=object)
+        n = self.n
+        out = np.empty(self.F2.shape + comps.shape + ((n,) if base_deriv else ()))
+        for idx in np.ndindex(comps.shape):
+            if base_deriv:
+                for k in range(n):
+                    e_k = tuple(int(t == k) for t in range(n))
+                    out[(...,) + idx + (k,)] = comps[idx].deriv(bmon=e_k)
+            else:
+                out[(...,) + idx] = comps[idx].value()
+        return out
+
     # -- metric --------------------------------------------------------
     @property
     def g_jets(self):
@@ -97,20 +114,10 @@ class PointAssembly:
         return self._get("ginv_jets", build)
 
     def g(self) -> np.ndarray:
-        n = self.n
-        g = np.empty(self.F2.shape + (n, n))
-        for i in range(n):
-            for j in range(n):
-                g[..., i, j] = self.g_jets[i][j].value()
-        return g
+        return self.values(self.g_jets)
 
     def ginv(self) -> np.ndarray:
-        n = self.n
-        gi = np.empty(self.F2.shape + (n, n))
-        for i in range(n):
-            for j in range(n):
-                gi[..., i, j] = self.ginv_jets[i][j].value()
-        return gi
+        return self.values(self.ginv_jets)
 
     # -- spray stack -----------------------------------------------------
     @property
@@ -159,28 +166,13 @@ class PointAssembly:
         return self._get("Gjk_jets", build)
 
     def spray_values(self) -> np.ndarray:
-        n = self.n
-        out = np.empty(self.F2.shape + (n,))
-        for i in range(n):
-            out[..., i] = self.G_jets[i].value()
-        return out
+        return self.values(self.G_jets)
 
     def Gj_values(self) -> np.ndarray:
-        n = self.n
-        out = np.empty(self.F2.shape + (n, n))
-        for i in range(n):
-            for j in range(n):
-                out[..., i, j] = self.Gj_jets[i][j].value()
-        return out
+        return self.values(self.Gj_jets)
 
     def Gjk_values(self) -> np.ndarray:
-        n = self.n
-        out = np.empty(self.F2.shape + (n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    out[..., i, j, k] = self.Gjk_jets[i][j][k].value()
-        return out
+        return self.values(self.Gjk_jets)
 
     # -- Cartan horizontal coefficients ---------------------------------
     @property
@@ -192,43 +184,17 @@ class PointAssembly:
         return self._get("C_jets", build)
 
     def cartan_values(self) -> np.ndarray:
-        n = self.n
-        out = np.empty(self.F2.shape + (n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    out[..., i, j, k] = self.C_jets[i][j][k].value()
-        return out
+        return self.values(self.C_jets)
 
     def gamma_values(self) -> np.ndarray:
         """Formal Christoffel symbols of g in x (base partials of g)."""
-        n = self.n
-        dg = np.empty(self.F2.shape + (n, n, n))  # dg[..., i, j, k] = d g_ij / dx^k
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    dg[..., i, j, k] = self.g_jets[i][j].base_deriv(k).value()
-        gi = self.ginv()
-        gam = 0.5 * (
-            np.einsum("...im,...mjk->...ijk", gi, dg)
-            + np.einsum("...im,...mkj->...ijk", gi, dg)
-            - np.einsum("...im,...jkm->...ijk", gi, dg)
-        )
-        return gam
+        return algebra.christoffel(self.ginv(), self.values(self.g_jets, base_deriv=True))
 
     def cartan_hcoeff_values(self) -> np.ndarray:
         """Horizontal Cartan coefficients Gamma^i_jk (with torsion corrections)."""
-        gam = self.gamma_values()
-        C = self.cartan_values()
-        gi = self.ginv()
-        Gj = self.Gj_values()
-        Cup = np.einsum("...im,...mjs->...ijs", gi, C)
-        corr = (
-            np.einsum("...ijs,...sk->...ijk", Cup, Gj)
-            + np.einsum("...iks,...sj->...ijk", Cup, Gj)
-            - np.einsum("...kjs,...sm,...mi->...ijk", C, Gj, gi)
+        return algebra.cartan_hcoeffs(
+            self.gamma_values(), self.cartan_values(), self.ginv(), self.Gj_values()
         )
-        return gam - corr
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +273,3 @@ def geodesic_integrate(
         vs.append(v.copy())
     return GeodesicPath(np.asarray(ts), np.asarray(xs), np.asarray(vs), complete)
 
-
-def h_cov_deriv(field, gs):
-    """Horizontal Cartan covariant derivative of a grid tensor field.
-
-    Thin re-export; the implementation lives with the grid machinery.
-    """
-    from .fields import horizontal_cov_deriv
-
-    return horizontal_cov_deriv(field, gs)

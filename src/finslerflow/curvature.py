@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import spray_trace
 from .connections import PointAssembly
 from .jets import Jet
 from .structures import FinslerStructure
@@ -75,26 +76,11 @@ def _curvature_jets(pa: PointAssembly):
 
 
 def _ricci_shen(pa: PointAssembly) -> np.ndarray:
-    """Trace R^k_k of the spray curvature (light route, fiber order 4).
-
-    R^i_k = 2 d_k G^i - y^j d_j G^i_k + 2 G^j G^i_jk - G^i_j G^j_k.
-    """
-    n = pa.n
-    G = pa.G_jets
-    Gj = pa.Gj_jets
-    Gjk = pa.Gjk_jets
-    ric = np.zeros(pa.F2.shape)
-    for i in range(n):
-        t = 2.0 * G[i].base_deriv(i)
-        for j in range(n):
-            t = (
-                t
-                - pa.ys[j] * Gj[i][i].base_deriv(j)
-                + 2.0 * G[j] * Gjk[i][j][i]
-                - Gj[i][j] * Gj[j][i]
-            )
-        ric = ric + t.value()
-    return ric
+    """Trace R^k_k of the spray curvature (light route, fiber order 4)."""
+    return spray_trace(
+        pa.y, pa.spray_values(), pa.values(pa.G_jets, base_deriv=True),
+        pa.Gj_values(), pa.values(pa.Gj_jets, base_deriv=True), pa.Gjk_values(),
+    )
 
 
 def curvature_bundle(
@@ -111,16 +97,10 @@ def curvature_bundle(
     Hjets = _curvature_jets(pa)
     g = pa.g()
     gi = pa.ginv()
-    yv = pa.y if pa.y.ndim else pa.y[None]
     F = np.sqrt(pa.F2.value())
     u = pa.y / F[..., None]
 
-    Hval = np.empty(pa.F2.shape + (n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    Hval[..., i, j, k, l] = Hjets[i][j][k][l].value()
+    Hval = pa.values(Hjets)
     H_low = np.einsum("...ir,...rjkl->...ijkl", g, Hval)
     ricci = np.einsum("...ks,...ikjs->...ij", gi, H_low)
     huu = np.einsum("...ik,...ijkl,...j,...l->...", gi, H_low, u, u)
@@ -140,11 +120,8 @@ def curvature_bundle(
             for r in range(n):
                 for j in range(n):
                     Q = Q + gijets[k][s] * ylow[r] * Hjets[r][k][j][s] * pa.ys[j]
-    rt = np.empty(pa.F2.shape + (n, n))
-    for i in range(n):
-        for j in range(i, n):
-            rt[..., i, j] = 0.5 * Q.fiber_deriv(i).fiber_deriv(j).value()
-            rt[..., j, i] = rt[..., i, j]
+    rt = 0.5 * pa.values([[Q.fiber_deriv(i).fiber_deriv(j) for j in range(n)]
+                          for i in range(n)])
     h_tilde = np.einsum("...ij,...ij->...", gi, rt)
 
     if c_fun is None:
@@ -163,15 +140,7 @@ def curvature_bundle(
 def hh_curvature(fs: FinslerStructure, x, y, base_mode: str = "auto") -> np.ndarray:
     """Berwald hh-curvature H^i_jkl, shape (..., n, n, n, n)."""
     pa = PointAssembly(fs, x, y, forder=5, border=2, base_mode=base_mode)
-    Hjets = _curvature_jets(pa)
-    n = fs.n
-    out = np.empty(pa.F2.shape + (n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    out[..., i, j, k, l] = Hjets[i][j][k][l].value()
-    return out
+    return pa.values(_curvature_jets(pa))
 
 
 def ricci_tensors(fs: FinslerStructure, x, y, base_mode: str = "auto"):

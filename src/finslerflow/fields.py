@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import cartan_hcoeffs, christoffel, spray_trace
 from .grids import BaseGrid, FiberGrid, GridError, base_derivative
 from .structures import FinslerStructure, SingularMetricError
 
@@ -262,29 +263,15 @@ class GridStructure:
         def build():
             g = self.g
             dg = np.stack([self.dx(g, 0), self.dx(g, 1)], axis=-1)  # (..., i, j, k)
-            gi = self.ginv
-            return 0.5 * (
-                np.einsum("...im,...mjk->...ijk", gi, dg)
-                + np.einsum("...im,...mkj->...ijk", gi, dg)
-                - np.einsum("...im,...jkm->...ijk", gi, dg)
-            )
+            return christoffel(self.ginv, dg)
         return self._get("gamma", build)
 
     @property
     def Gamma(self) -> np.ndarray:
         """Horizontal Cartan coefficients Gamma^i_jk."""
-        def build():
-            C = self.cartan
-            gi = self.ginv
-            Gj = self.Gj
-            Cup = np.einsum("...im,...mjs->...ijs", gi, C)
-            corr = (
-                np.einsum("...ijs,...sk->...ijk", Cup, Gj)
-                + np.einsum("...iks,...sj->...ijk", Cup, Gj)
-                - np.einsum("...kjs,...sm,...mi->...ijk", C, Gj, gi)
-            )
-            return self.gamma - corr
-        return self._get("Gamma", build)
+        return self._get(
+            "Gamma", lambda: cartan_hcoeffs(self.gamma, self.cartan, self.ginv, self.Gj)
+        )
 
     # -- curvature ----------------------------------------------------------
     @property
@@ -334,15 +321,10 @@ class GridStructure:
     def ricci_scalar(self) -> np.ndarray:
         """Trace R^k_k of the spray curvature (independent light route)."""
         def build():
-            G, Gj, Gjk, Gjkm = self.G, self.Gj, self.Gjk, self.Gjkm
-            e = self.e[None, None, :, :]
+            G, Gj = self.G, self.Gj
             dG = np.stack([self.dx(G, 0), self.dx(G, 1)], axis=-1)  # (..., i, k)
-            dGj = np.stack([self.dx(Gj, 0), self.dx(Gj, 1)], axis=-1)  # (..., i, k, j)
-            ric = 2.0 * (dG[..., 0, 0] + dG[..., 1, 1])
-            ric -= np.einsum("...j,...iij->...", e, dGj)
-            ric += 2.0 * np.einsum("...j,...iji->...", G, Gjk)
-            ric -= np.einsum("...ij,...ji->...", Gj, Gj)
-            return ric
+            dGj = np.stack([self.dx(Gj, 0), self.dx(Gj, 1)], axis=-1)  # (..., i, j, k)
+            return spray_trace(self.e[None, None, :, :], G, dG, Gj, dGj, self.Gjk)
         return self._get("ricci_scalar", build)
 
     def _tilde_from_q(self, q: np.ndarray) -> np.ndarray:
@@ -430,19 +412,8 @@ class GridStructure:
         """(nabla_0 C^j) with C^j = g^{jk} C_k, at y = e(theta)."""
         def build():
             Cup = np.einsum("...jk,...k->...j", self.ginv, self.mean_cartan)
-            f = TensorField(Cup, (1, 0), homogeneity=-1)
-            return _contract_y(horizontal_cov_deriv(f, self), self)
+            return cov_deriv_0(TensorField(Cup, (1, 0), homogeneity=-1), self).data
         return self._get("nabla0_mean_cartan", build)
-
-
-def _contract_y(field: TensorField, gs: GridStructure) -> np.ndarray:
-    """Contract the last (covariant) index with y = e(theta)."""
-    return np.einsum(_yc_spec(field.rank), field.data, gs.e[None, None, :, :])
-
-
-def _yc_spec(rank: int) -> str:
-    idx = "ijklm"[: rank - 1]
-    return f"abc{idx}t,abct->abc{idx}"
 
 
 def horizontal_cov_deriv(field: TensorField, gs: GridStructure) -> TensorField:
@@ -481,5 +452,6 @@ def horizontal_cov_deriv(field: TensorField, gs: GridStructure) -> TensorField:
 def cov_deriv_0(field: TensorField, gs: GridStructure) -> TensorField:
     """nabla_0 T = y^m nabla_m T evaluated at y = e(theta)."""
     nab = horizontal_cov_deriv(field, gs)
-    data = np.einsum(_yc_spec(nab.rank), nab.data, gs.e[None, None, :, :])
+    idx = "ijklm"[: field.rank]
+    data = np.einsum(f"abc{idx}t,abct->abc{idx}", nab.data, gs.e[None, None, :, :])
     return TensorField(data, field.valence, homogeneity=field.homogeneity + 1)

@@ -106,6 +106,12 @@ class FlowState:
         return r * np.exp(u)
 
 
+def _check_fiber_cut(cut: int | None) -> int | None:
+    if cut is not None and cut < 0:
+        raise ValueError(f"fiber_cut must be >= 0 or None, got {cut}")
+    return cut
+
+
 def _fiber_project(logF: np.ndarray, cut: int | None) -> np.ndarray:
     if cut is None:
         return logF
@@ -125,6 +131,7 @@ def encode_state(
     fiber_cut: int | None = None,
 ) -> FlowState:
     """Sample log F on the section y = e(theta) of an analytic structure."""
+    _check_fiber_cut(fiber_cut)
     if not entry.chart.periodic:
         raise GridError(
             f"{entry.name}: non-periodic chart; grid flow needs a torus "
@@ -414,6 +421,7 @@ def write_checkpoint(path: str, state: FlowState) -> None:
         "mode": state.mode,
         "stepper": state.stepper,
         "base_mode": state.base_mode,
+        "safety": state.safety,
         "fiber_cut": state.fiber_cut,
         "name": state.name,
         # row-major: x1 outer, x2 middle, theta inner
@@ -443,6 +451,7 @@ def read_checkpoint(path: str) -> FlowState:
     return FlowState(
         bgrid=bgrid, fgrid=fgrid, logF=logF, t=record["time"],
         step_index=record["step"], mode=record["mode"], stepper=record["stepper"],
-        base_mode=record["base_mode"], fiber_cut=record.get("fiber_cut"),
+        base_mode=record["base_mode"], safety=record.get("safety", 0.25),
+        fiber_cut=_check_fiber_cut(record.get("fiber_cut")),
         name=record.get("name", "state"),
     )

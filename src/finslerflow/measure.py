@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import GridStructure, TensorField, theta_derivative
 from .grids import GridError
-from .structures import FinslerStructure, f2_jets
+from .structures import FinslerStructure, _check_spd, _metric_from_jets, f2_jets
 
 __all__ = [
     "liouville_density",
@@ -37,22 +37,11 @@ def liouville_density(fs: FinslerStructure, x, theta, base_mode: str = "auto") -
     shape.  Positive wherever g is positive definite.
     """
     from .jets import sqrt_
-    from .structures import SingularMetricError
 
     theta = np.asarray(theta, dtype=float)
     y = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     F2 = f2_jets(fs, x, y, forder=2, base_mode=base_mode)
-    g = np.empty(F2.shape + (2, 2))
-    for i in range(2):
-        for j in range(i, 2):
-            fm = [0, 0]
-            fm[i] += 1
-            fm[j] += 1
-            g[..., i, j] = g[..., j, i] = 0.5 * F2.deriv(fmon=tuple(fm))
-    eig = np.linalg.eigvalsh(g)[..., 0]
-    if np.any(eig <= 0):
-        where = np.unravel_index(int(np.argmin(eig)), eig.shape) if eig.ndim else ()
-        raise SingularMetricError(float(np.min(eig)), where=where)
+    _check_spd(_metric_from_jets(F2, 2))
     F = sqrt_(F2)
     p = [F.fiber_deriv(i) for i in range(2)]
     # dp_i/dtheta = d2F/dy^i dy^j * e'(theta)^j

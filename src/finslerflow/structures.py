@@ -250,25 +250,25 @@ def fiber_jet(fs: FinslerStructure, x, y, req: JetRequest, base_mode: str = "aut
 
 def _metric_from_jets(F2: Jet, n: int) -> np.ndarray:
     g = np.empty(F2.shape + (n, n))
-    for i in range(n):
-        for j in range(i, n):
-            fm = [0] * n
-            fm[i] += 1
-            fm[j] += 1
-            g[..., i, j] = 0.5 * F2.deriv(fmon=tuple(fm))
-            g[..., j, i] = g[..., i, j]
+    for idx in np.ndindex(n, n):
+        g[(...,) + idx] = 0.5 * F2.deriv(fmon=tuple(idx.count(t) for t in range(n)))
     return g
 
 
-def _check_spd(g: np.ndarray, where=None) -> np.ndarray:
+def _cartan_from_jets(F2: Jet, n: int) -> np.ndarray:
+    C = np.empty(F2.shape + (n, n, n))
+    for idx in np.ndindex(n, n, n):
+        C[(...,) + idx] = 0.25 * F2.deriv(fmon=tuple(idx.count(t) for t in range(n)))
+    return C
+
+
+def _check_spd(g: np.ndarray) -> np.ndarray:
+    """Eigenvalues of g; raises at the node of the smallest one unless g is SPD."""
     eig = np.linalg.eigvalsh(g)
     mn = float(np.min(eig))
     if mn <= 0.0:
-        idx = None
-        if g.ndim > 2:
-            flat = np.argmin(eig[..., 0])
-            idx = np.unravel_index(flat, eig[..., 0].shape)
-        raise SingularMetricError(mn, where=where if where is not None else idx)
+        low = eig[..., 0]
+        raise SingularMetricError(mn, where=np.unravel_index(np.argmin(low), low.shape))
     return eig
 
 
@@ -285,16 +285,7 @@ def cartan_tensor(fs: FinslerStructure, x, y, base_mode: str = "auto") -> np.nda
     n = fs.n
     F2 = f2_jets(fs, x, y, forder=3, base_mode=base_mode)
     _check_spd(_metric_from_jets(F2, n))
-    C = np.empty(F2.shape + (n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                fm = [0] * n
-                fm[i] += 1
-                fm[j] += 1
-                fm[k] += 1
-                C[..., i, j, k] = 0.25 * F2.deriv(fmon=tuple(fm))
-    return C
+    return _cartan_from_jets(F2, n)
 
 
 def mean_cartan(fs: FinslerStructure, x, y, base_mode: str = "auto") -> np.ndarray:
@@ -397,15 +388,7 @@ def validate_structure(
     res_a = float(np.max(np.abs(euler - 2.0 * F2v) / (2.0 * F2v)))
 
     g = _metric_from_jets(F2, n)
-    C = np.empty(F2.shape + (n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                fm = [0] * n
-                fm[i] += 1
-                fm[j] += 1
-                fm[k] += 1
-                C[..., i, j, k] = 0.25 * F2.deriv(fmon=tuple(fm))
+    C = _cartan_from_jets(F2, n)
 
     # (b) zero-homogeneity of g: y^k d g_ij/dy^k = 2 C_ijk y^k
     res_b = float(np.max(np.abs(2.0 * np.einsum("...ijk,...k->...ij", C, y))))

@@ -138,3 +138,51 @@ def test_verify_identities_small(capsys, tmp_path):
 def test_missing_subcommand_exit_2(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2
+
+
+def json_lines(err):
+    return [json.loads(line) for line in err.strip().splitlines()]
+
+
+def test_flow_negative_fiber_cut_exit_2(capsys, tmp_path):
+    # a negative cut would zero every fiber mode of the state
+    code, _, err = run_cli(
+        capsys, "flow", "--metric", "conformal-torus", "--grid", "16,16,16",
+        "--steps", "1", "--fiber-cut", "-1", "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    (rec,) = json_lines(err)
+    assert rec["code"] == 2 and "fiber_cut" in rec["error"]
+
+
+def test_config_without_path_exit_2(capsys):
+    code, _, err = run_cli(capsys, "zoo", "--config")
+    assert code == 2
+    (rec,) = json_lines(err)
+    assert rec["code"] == 2 and "--config" in rec["error"]
+
+
+def test_validate_failure_error_record(capsys):
+    # g = identity has min eigenvalue 1, below the demanded margin
+    code, out, err = run_cli(
+        capsys, "validate", "--metric", "euclidean", "--tol-positivity", "2"
+    )
+    assert code == 1
+    assert "FAIL  g positive definite" in out
+    (rec,) = json_lines(err)
+    assert rec["code"] == 1
+    assert rec["detail"] == {"g positive definite": pytest.approx(1.0)}
+
+
+def test_verify_identities_failure_error_record(capsys):
+    # the conformal-path dI/dt closed form does not hold on a Randers torus
+    # (see test_conformal_dI_general_direction_documented)
+    code, out, err = run_cli(
+        capsys, "verify-identities", "--metric", "randers-torus", "--grid", "16,16,32",
+    )
+    assert code == 1
+    (rec,) = json_lines(err)
+    assert rec["code"] == 1
+    assert list(rec["detail"]) == ["conformal-path: conformal dI/dt"]
+    assert rec["detail"]["conformal-path: conformal dI/dt"] > 1e-2
+    assert json.loads(out)["conformal-path: conformal dI/dt"] > 1e-2

@@ -125,3 +125,36 @@ def test_fd_base_mode_close_to_analytic(conformal):
     a = ff.ricci_directional(conformal.structure, xs, ys, base_mode="analytic")
     b = ff.ricci_directional(conformal.structure, xs, ys, base_mode="fd")
     assert np.max(np.abs(a - b)) <= 1e-8  # FD step 1e-3, 4th order
+
+
+def test_spray_trace_matches_jet_loop(randers, funk):
+    """R^k_k from component values equals the term-by-term jet sum."""
+    from finslerflow.connections import PointAssembly
+    from finslerflow.curvature import _ricci_shen
+
+    for e in (randers, funk):
+        xs, ys = sample_points(e.structure, 16)
+        pa = PointAssembly(e.structure, xs, ys, forder=4, border=2)
+        n = pa.n
+        G, Gj, Gjk = pa.G_jets, pa.Gj_jets, pa.Gjk_jets
+        ref = np.zeros(pa.F2.shape)
+        for i in range(n):
+            t = 2.0 * G[i].base_deriv(i)
+            for j in range(n):
+                t = (
+                    t
+                    - pa.ys[j] * Gj[i][i].base_deriv(j)
+                    + 2.0 * G[j] * Gjk[i][j][i]
+                    - Gj[i][j] * Gj[j][i]
+                )
+            ref = ref + t.value()
+        got = _ricci_shen(pa)
+        # only the summation order differs
+        assert np.max(np.abs(got - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref)))
+        # the values helper reads each component as its own jet value
+        dGj = pa.values(Gj, base_deriv=True)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    assert np.array_equal(dGj[..., i, j, k], Gj[i][j].base_deriv(k).value())
+                    assert np.array_equal(pa.Gjk_values()[..., i, j, k], Gjk[i][j][k].value())

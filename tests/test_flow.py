@@ -1,5 +1,7 @@
 """Flow engine: encoding, stepping, diagnostics, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,28 @@ def test_conformal_decay_oracle_converged():
     coarse = conformal_flow_decay_ratio(0.2, 1, 1, bg, 0.1, dt_max=2e-4)
     assert abs(fine - coarse) <= 1e-12
     assert 0.0 < fine < 1.0
+
+
+def test_checkpoint_keeps_safety(tmp_path, conformal):
+    st = make_state(conformal, N=16, NT=32, safety=0.1)
+    p = str(tmp_path / "chk.json")
+    write_checkpoint(p, st)
+    assert read_checkpoint(p).safety == 0.1
+    # files written before safety was stored read back with the default
+    rec = json.load(open(p))
+    del rec["safety"]
+    json.dump(rec, open(p, "w"))
+    assert read_checkpoint(p).safety == 0.25
+
+
+def test_negative_fiber_cut_rejected(tmp_path, conformal):
+    with pytest.raises(ValueError):
+        make_state(conformal, N=16, NT=32, fiber_cut=-1)
+    st = make_state(conformal, N=16, NT=32, fiber_cut=2)
+    p = str(tmp_path / "chk.json")
+    write_checkpoint(p, st)
+    rec = json.load(open(p))
+    rec["fiber_cut"] = -1
+    json.dump(rec, open(p, "w"))
+    with pytest.raises(ValueError):
+        read_checkpoint(p)
