@@ -159,9 +159,7 @@ def cmd_report(args) -> int:
     fs = entry.structure
     x = np.asarray(_parse_floats(args.x, fs.n))
     theta = float(args.theta)
-    y = np.array([np.cos(theta), np.sin(theta)]) if fs.n == 2 else None
-    if y is None:
-        raise UsageError("report supports n = 2 structures")
+    y = np.array([np.cos(theta), np.sin(theta)])
     cb = curvature_bundle(fs, x, y, c_fun=args.c)
     record = {
         "metric": fs.name,
@@ -262,6 +260,8 @@ def cmd_verify_identities(args) -> int:
 def cmd_flow(args) -> int:
     entry = _metric(args)
     n1, n2, nt = _parse_grid(args.grid)
+    if args.gem_stride < 1:
+        raise UsageError(f"--gem-stride must be at least 1, got {args.gem_stride}")
     try:
         bgrid, fgrid = build_grid(
             2, (n1, n2), entry.structure.chart.lengths or 2 * np.pi, nt

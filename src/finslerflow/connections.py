@@ -21,27 +21,12 @@ __all__ = [
 ]
 
 
-def _inv_jets(g, n):
-    """Inverse of a symmetric n x n matrix of jets via adjugate/determinant."""
-    if n == 2:
-        det = g[0][0] * g[1][1] - g[0][1] * g[0][1]
-        inv_det = 1.0 / det
-        gi = [[g[1][1] * inv_det, -1.0 * g[0][1] * inv_det],
-              [None, g[0][0] * inv_det]]
-        gi[1][0] = gi[0][1]
-        return gi, det
-    # n == 3
-    c = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            i1, i2 = [t for t in range(3) if t != i]
-            j1, j2 = [t for t in range(3) if t != j]
-            m = g[i1][j1] * g[i2][j2] - g[i1][j2] * g[i2][j1]
-            c[j][i] = m if (i + j) % 2 == 0 else -1.0 * m
-    det = g[0][0] * c[0][0] + g[0][1] * c[1][0] + g[0][2] * c[2][0]
+def _inv_jets(g):
+    """Inverse of a symmetric 2 x 2 matrix of jets via adjugate/determinant."""
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
     inv_det = 1.0 / det
-    gi = [[c[i][j] * inv_det for j in range(3)] for i in range(3)]
-    return gi, det
+    off = -1.0 * g[0, 1] * inv_det
+    return np.array([[g[1, 1] * inv_det, off], [off, g[0, 0] * inv_det]], dtype=object), det
 
 
 class PointAssembly:
@@ -49,7 +34,9 @@ class PointAssembly:
 
     Everything is lazy and cached; all fiber derivatives are exact Taylor
     coefficients, base derivatives come from the jet provider (analytic base
-    jets or 4th-order FD stations).
+    jets or 4th-order FD stations).  Component jets are numpy object arrays
+    with the component axes last, the layout of the grid fields, so the
+    :mod:`finslerflow.algebra` functions take either.
     """
 
     def __init__(
@@ -69,7 +56,9 @@ class PointAssembly:
         self.F2 = f2_jets(fs, x, y, forder=forder, border=border,
                           base_mode=base_mode, fd_step=fd_step)
         spec = self.F2.spec
-        self.ys = [Jet.variable(spec, "y", a, self.y[..., a]) for a in range(self.n)]
+        self.ys = np.array(
+            [Jet.variable(spec, "y", a, self.y[..., a]) for a in range(self.n)], dtype=object
+        )
         self._cache: dict = {}
 
     def _get(self, key, builder):
@@ -77,12 +66,28 @@ class PointAssembly:
             self._cache[key] = builder()
         return self._cache[key]
 
+    def _append(self, jets, diff) -> np.ndarray:
+        jets = np.asarray(jets, dtype=object)
+        out = np.empty(jets.shape + (self.n,), dtype=object)
+        for idx in np.ndindex(jets.shape):
+            for k in range(self.n):
+                out[idx + (k,)] = diff(jets[idx], k)
+        return out
+
+    def fiber(self, jets) -> np.ndarray:
+        """d/dy^m of each component jet, on a new last axis m."""
+        return self._append(jets, Jet.fiber_deriv)
+
+    def base(self, jets) -> np.ndarray:
+        """d/dx^k of each component jet, on a new last axis k."""
+        return self._append(jets, Jet.base_deriv)
+
     def values(self, jets, base_deriv: bool = False) -> np.ndarray:
-        """Values of a nested list of jets as one array, component axes last.
+        """Values of an array of jets as one array, component axes last.
 
         With ``base_deriv`` a further last axis k holds the values of d/dx^k.
         """
-        comps = np.array(jets, dtype=object)
+        comps = np.asarray(jets, dtype=object)
         n = self.n
         out = np.empty(self.F2.shape + comps.shape + ((n,) if base_deriv else ()))
         for idx in np.ndindex(comps.shape):
@@ -97,16 +102,12 @@ class PointAssembly:
     # -- metric --------------------------------------------------------
     @property
     def g_jets(self):
-        def build():
-            n = self.n
-            return [[0.5 * self.F2.fiber_deriv(i).fiber_deriv(j) for j in range(n)]
-                    for i in range(n)]
-        return self._get("g_jets", build)
+        return self._get("g_jets", lambda: 0.5 * self.fiber(self.fiber(self.F2)))
 
     @property
     def ginv_jets(self):
         def build():
-            gi, det = _inv_jets(self.g_jets, self.n)
+            gi, det = _inv_jets(self.g_jets)
             mn = float(np.min(det.value()))
             if mn <= 0.0:
                 raise SingularMetricError(mn)
@@ -147,23 +148,16 @@ class PointAssembly:
                 for h in range(1, n):
                     acc = acc + gi[i][h] * A[h]
                 out.append(acc * 0.25)
-            return out
+            return np.array(out, dtype=object)
         return self._get("G_jets", build)
 
     @property
     def Gj_jets(self):
-        def build():
-            n = self.n
-            return [[self.G_jets[i].fiber_deriv(j) for j in range(n)] for i in range(n)]
-        return self._get("Gj_jets", build)
+        return self._get("Gj_jets", lambda: self.fiber(self.G_jets))
 
     @property
     def Gjk_jets(self):
-        def build():
-            n = self.n
-            return [[[self.Gj_jets[i][j].fiber_deriv(k) for k in range(n)]
-                     for j in range(n)] for i in range(n)]
-        return self._get("Gjk_jets", build)
+        return self._get("Gjk_jets", lambda: self.fiber(self.Gj_jets))
 
     def spray_values(self) -> np.ndarray:
         return self.values(self.G_jets)
@@ -177,11 +171,7 @@ class PointAssembly:
     # -- Cartan horizontal coefficients ---------------------------------
     @property
     def C_jets(self):
-        def build():
-            n = self.n
-            return [[[0.5 * self.g_jets[i][j].fiber_deriv(k) for k in range(n)]
-                     for j in range(n)] for i in range(n)]
-        return self._get("C_jets", build)
+        return self._get("C_jets", lambda: 0.5 * self.fiber(self.g_jets))
 
     def cartan_values(self) -> np.ndarray:
         return self.values(self.C_jets)

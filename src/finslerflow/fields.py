@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import cartan_hcoeffs, christoffel, spray_trace
+from . import algebra
 from .grids import BaseGrid, FiberGrid, GridError, base_derivative
 from .structures import FinslerStructure, SingularMetricError
 
@@ -95,8 +95,6 @@ class GridStructure:
         fgrid: FiberGrid,
         base_mode: str = "fd4",
     ):
-        if bgrid.n != 2:
-            raise GridError("grid pipeline is 2-dimensional")
         self.bgrid = bgrid
         self.fgrid = fgrid
         self.base_mode = base_mode
@@ -139,6 +137,10 @@ class GridStructure:
 
     def dx(self, field: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
         return base_derivative(field, self.bgrid, axis, order, self.base_mode)
+
+    def base(self, field: np.ndarray) -> np.ndarray:
+        """d/dx^k of a field, on a new last axis k."""
+        return np.stack([self.dx(field, 0), self.dx(field, 1)], axis=-1)
 
     def fiber(self, w: np.ndarray, d: int) -> np.ndarray:
         return fiber_partials(w, d, self.thetas)
@@ -260,44 +262,29 @@ class GridStructure:
     @property
     def gamma(self) -> np.ndarray:
         """Formal Christoffel symbols of g taken in x."""
-        def build():
-            g = self.g
-            dg = np.stack([self.dx(g, 0), self.dx(g, 1)], axis=-1)  # (..., i, j, k)
-            return christoffel(self.ginv, dg)
-        return self._get("gamma", build)
+        return self._get("gamma", lambda: algebra.christoffel(self.ginv, self.base(self.g)))
 
     @property
     def Gamma(self) -> np.ndarray:
         """Horizontal Cartan coefficients Gamma^i_jk."""
         return self._get(
-            "Gamma", lambda: cartan_hcoeffs(self.gamma, self.cartan, self.ginv, self.Gj)
+            "Gamma",
+            lambda: algebra.cartan_hcoeffs(self.gamma, self.cartan, self.ginv, self.Gj),
         )
 
     # -- curvature ----------------------------------------------------------
     @property
     def hh(self) -> np.ndarray:
         """Berwald hh-curvature H^i_jkl field."""
-        def build():
-            Gjk = self.Gjk
-            Gjkm = self.Gjkm
-            Gj = self.Gj
-            # delta_k G^i_jl = d_k G^i_jl - G^m_k dG^i_jl/dy^m
-            dG = np.stack([self.dx(Gjk, 0), self.dx(Gjk, 1)], axis=-1)  # (...,i,j,l,k)
-            delta = dG - np.einsum("...ijlm,...mk->...ijlk", Gjkm, Gj)
-            H = delta.transpose(*range(delta.ndim - 4), -4, -3, -1, -2)  # (...,i,j,k,l)
-            H = H - delta
-            H = H + np.einsum("...mjl,...imk->...ijkl", Gjk, Gjk)
-            H = H - np.einsum("...mjk,...iml->...ijkl", Gjk, Gjk)
-            return H
-        return self._get("hh", build)
+        return self._get(
+            "hh",
+            lambda: algebra.hh_curvature(self.Gj, self.Gjk, self.base(self.Gjk), self.Gjkm),
+        )
 
     @property
     def ricci(self) -> np.ndarray:
         """Akbar-Zadeh Ricci H_ij = g^{ks} H_ikjs."""
-        def build():
-            Hlow = np.einsum("...ir,...rjkl->...ijkl", self.g, self.hh)
-            return np.einsum("...ks,...ikjs->...ij", self.ginv, Hlow)
-        return self._get("ricci", build)
+        return self._get("ricci", lambda: algebra.ricci(self.g, self.ginv, self.hh))
 
     @property
     def Q(self) -> np.ndarray:
@@ -309,22 +296,19 @@ class GridStructure:
 
     @property
     def huu(self) -> np.ndarray:
-        """Ricci-directional curvature H(u,u) = g^{ik} H_ijkl u^j u^l."""
-        def build():
-            Hlow = np.einsum("...ir,...rjkl->...ijkl", self.g, self.hh)
-            e = self.e[None, None, :, :]
-            val = np.einsum("...ik,...ijkl,...j,...l->...", self.ginv, Hlow, e, e)
-            return val / self.F2
-        return self._get("huu", build)
+        """Ricci-directional curvature H(u,u) = H^k_jkl u^j u^l."""
+        return self._get(
+            "huu", lambda: algebra.huu(self.hh, self.e[None, None, :, :]) / self.F2
+        )
 
     @property
     def ricci_scalar(self) -> np.ndarray:
         """Trace R^k_k of the spray curvature (independent light route)."""
         def build():
             G, Gj = self.G, self.Gj
-            dG = np.stack([self.dx(G, 0), self.dx(G, 1)], axis=-1)  # (..., i, k)
-            dGj = np.stack([self.dx(Gj, 0), self.dx(Gj, 1)], axis=-1)  # (..., i, j, k)
-            return spray_trace(self.e[None, None, :, :], G, dG, Gj, dGj, self.Gjk)
+            return algebra.spray_trace(
+                self.e[None, None, :, :], G, self.base(G), Gj, self.base(Gj), self.Gjk
+            )
         return self._get("ricci_scalar", build)
 
     def _tilde_from_q(self, q: np.ndarray) -> np.ndarray:
@@ -394,16 +378,14 @@ class GridStructure:
     @property
     def gem_field(self) -> np.ndarray:
         """Metric-normalized |Htilde_ij - (Htilde/n) g_ij| field."""
-        def build():
-            rt = self.ricci_tilde_light
-            ht = np.einsum("...ij,...ij->...", self.ginv, rt)
-            gap = rt - 0.5 * ht[..., None, None] * self.g
-            mixed = np.einsum("...ia,...aj->...ij", self.ginv, gap)
-            return np.max(np.abs(mixed), axis=(-1, -2))
-        return self._get("gem_field", build)
+        return self._get(
+            "gem_field", lambda: algebra.gem_gap(self.ricci_tilde_light, self.g, self.ginv)
+        )
 
     def gem_residual(self, stride: int = 1) -> float:
         """Sup over (sub-sampled) base nodes and the full fiber."""
+        if stride < 1:
+            raise ValueError(f"gem stride must be at least 1, got {stride}")
         return float(np.max(self.gem_field[::stride, ::stride, :]))
 
     # -- covariant derivative helpers ---------------------------------------
@@ -428,10 +410,9 @@ def horizontal_cov_deriv(field: TensorField, gs: GridStructure) -> TensorField:
     T = field.data
     rank = field.rank
     d = field.homogeneity
-    dT = np.stack([gs.dx(T, 0), gs.dx(T, 1)], axis=-1)  # (..., idx..., m)
     fT = gs.fiber(T, d)  # (..., idx..., r)
-    idx = "ijk"[:rank]
-    delta = dT - np.einsum(f"abc{idx}r,abcrm->abc{idx}m", fT, gs.Gj)
+    idx = "ijkl"[:rank]
+    delta = gs.base(T) - np.einsum(f"abc{idx}r,abcrm->abc{idx}m", fT, gs.Gj)
     out = delta
     Gam = gs.Gamma
     # contravariant slots: + T^{r...} Gamma^i_rm

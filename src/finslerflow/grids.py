@@ -25,7 +25,7 @@ def _as_tuple(v, n, cast):
 
 @dataclass(frozen=True)
 class BaseGrid:
-    """Uniform grid on an n-dimensional chart, periodic per axis."""
+    """Uniform grid on a 2-dimensional chart, periodic per axis."""
 
     n: int
     shape: tuple[int, ...]
@@ -33,8 +33,8 @@ class BaseGrid:
     periodic: tuple[bool, ...]
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise GridError(f"base dimension must be 2 or 3, got {self.n}")
+        if self.n != 2:
+            raise GridError(f"base dimension must be 2, got {self.n}")
         if len(self.shape) != self.n:
             raise GridError("shape/dimension mismatch")
         for N in self.shape:
@@ -84,8 +84,8 @@ def build_grid(n: int, N_x, L, N_theta: int) -> tuple[BaseGrid, FiberGrid]:
 
     N_x and L may be scalars (same for all axes) or per-axis sequences.
     """
-    if n not in (2, 3):
-        raise GridError(f"dimension must be 2 or 3, got {n}")
+    if n != 2:
+        raise GridError(f"dimension must be 2, got {n}")
     shape = _as_tuple(N_x, n, int)
     for N in shape:
         if N < 8:

@@ -94,6 +94,10 @@ class FinslerStructure:
     supports_base_jets: bool = True
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.n != 2:
+            raise ValueError(f"{self.name}: structures are 2-dimensional, got n = {self.n}")
+
     def F2(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -349,17 +353,8 @@ def sample_points(fs: FinslerStructure, count: int) -> tuple[np.ndarray, np.ndar
         r = (fs.chart.bound or 1.0) * 0.8 * np.sqrt(u[:, 0])
         phi = 2.0 * np.pi * u[:, 1]
         x = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1)
-        if n == 3:
-            x = np.concatenate([x, np.zeros((count, 1))], axis=-1)
-    if n == 2:
-        th = 2.0 * np.pi * u[:, n:]
-        y = np.concatenate([np.cos(th), np.sin(th)], axis=-1)
-    else:
-        th = 2.0 * np.pi * u[:, n]
-        ph = np.arccos(1.0 - 2.0 * u[:, n + 1])
-        y = np.stack(
-            [np.sin(ph) * np.cos(th), np.sin(ph) * np.sin(th), np.cos(ph)], axis=-1
-        )
+    th = 2.0 * np.pi * u[:, n:]
+    y = np.concatenate([np.cos(th), np.sin(th)], axis=-1)
     return x, y
 
 

@@ -50,25 +50,17 @@ def _torus_chart() -> Chart:
     return Chart("torus", lengths=(TWO_PI, TWO_PI))
 
 
-def _euclidean(n: int = 2) -> ZooEntry:
-    if n not in (2, 3):
-        raise ValueError("euclidean entry supports n = 2 or 3")
-
+def _euclidean() -> ZooEntry:
     def f2(xs, ys):
-        acc = ys[0] * ys[0]
-        for y in ys[1:]:
-            acc = acc + y * y
-        return acc
+        return ys[0] * ys[0] + ys[1] * ys[1]
 
-    fs = FinslerStructure(
-        n=n, name="euclidean", chart=Chart("torus", lengths=(TWO_PI,) * n), f2=f2
-    )
-    eye = np.eye(n)
+    fs = FinslerStructure(n=2, name="euclidean", chart=_torus_chart(), f2=f2)
+    eye = np.eye(2)
     return ZooEntry(
         structure=fs,
         flags=frozenset({"riemannian", "locally-minkowski", "gem"}),
-        a_fun=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (n, n)),
-        da_fun=lambda x: np.zeros(np.shape(x)[:-1] + (n, n, n)),
+        a_fun=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (2, 2)),
+        da_fun=lambda x: np.zeros(np.shape(x)[:-1] + (2, 2, 2)),
         expected_huu=0.0,
         expected_cartan_norm=0.0,
         fiber_measure=lambda x: TWO_PI * np.ones(np.shape(x)[:-1]),

@@ -12,8 +12,8 @@ That target is asserted where the flow reaches it, in
 """
 
 import json
-import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,7 +347,7 @@ def test_c11_determinism(tmp_path, capsys):
             "--steps", "6", "--normalized", "--fiber-cut", "4", "--out", out,
         ])
         assert code == 0
-        blobs.append(open(os.path.join(out, "diagnostics.csv"), "rb").read())
+        blobs.append(Path(out, "diagnostics.csv").read_bytes())
     ok = blobs[0] == blobs[1]
     verdict("C11 determinism", ok, f"{len(blobs[0])} bytes")
     assert blobs[0] == blobs[1]

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,12 +82,12 @@ def test_flow_csv_rows_and_checkpoint(capsys, tmp_path):
         "--steps", "5", "--normalized", "--out", out_dir, "--fiber-cut", "4",
     )
     assert code == 0
-    csv = open(os.path.join(out_dir, "diagnostics.csv")).read().splitlines()
+    csv = Path(out_dir, "diagnostics.csv").read_text().splitlines()
     assert csv[0] == "step,time,V,I,I_norm,c,min_eig_g,max_abs_Huu,gem_residual"
     assert len(csv) == 1 + 5 + 1  # header + steps + initial row
     assert os.path.exists(os.path.join(out_dir, "checkpoint_final.json"))
     assert os.path.exists(os.path.join(out_dir, "manifest.json"))
-    man = json.load(open(os.path.join(out_dir, "manifest.json")))
+    man = json.loads(Path(out_dir, "manifest.json").read_text())
     assert man["command"] == "flow"
     assert "tolerances" in man and "versions" in man
 
@@ -100,7 +101,7 @@ def test_flow_determinism_byte_identical(capsys, tmp_path):
             "--steps", "4", "--out", out_dir, "--fiber-cut", "6",
         )
         assert code == 0
-        outs.append(open(os.path.join(out_dir, "diagnostics.csv"), "rb").read())
+        outs.append(Path(out_dir, "diagnostics.csv").read_bytes())
     assert outs[0] == outs[1]
 
 
@@ -153,6 +154,21 @@ def test_flow_negative_fiber_cut_exit_2(capsys, tmp_path):
     assert code == 2
     (rec,) = json_lines(err)
     assert rec["code"] == 2 and "fiber_cut" in rec["error"]
+
+
+@pytest.mark.parametrize("stride", ["0", "-8"])
+def test_flow_gem_stride_below_one_exit_2(capsys, tmp_path, stride):
+    # a negative stride would sample other nodes, and 0 is no slice step
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(
+        capsys, "flow", "--metric", "conformal-torus", "--grid", "8,8,16",
+        "--steps", "1", "--gem-stride", stride, "--out", str(out_dir),
+    )
+    assert code == 2
+    (rec,) = json_lines(err)
+    assert rec["code"] == 2 and "--gem-stride" in rec["error"]
+    assert not (out_dir / "diagnostics.csv").exists()
+    assert not (out_dir / "manifest.json").exists()
 
 
 def test_config_without_path_exit_2(capsys):

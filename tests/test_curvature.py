@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import finslerflow as ff
+from finslerflow.connections import PointAssembly
 from finslerflow.curvature import curvature_bundle
+from finslerflow.jets import Jet
 from finslerflow.oracles import funk_pde_residual, funk_ricci_projective
 from finslerflow.structures import sample_points
 
@@ -129,7 +131,6 @@ def test_fd_base_mode_close_to_analytic(conformal):
 
 def test_spray_trace_matches_jet_loop(randers, funk):
     """R^k_k from component values equals the term-by-term jet sum."""
-    from finslerflow.connections import PointAssembly
     from finslerflow.curvature import _ricci_shen
 
     for e in (randers, funk):
@@ -158,3 +159,60 @@ def test_spray_trace_matches_jet_loop(randers, funk):
                 for k in range(n):
                     assert np.array_equal(dGj[..., i, j, k], Gj[i][j].base_deriv(k).value())
                     assert np.array_equal(pa.Gjk_values()[..., i, j, k], Gjk[i][j][k].value())
+
+
+def _hh_jet_loop(pa):
+    """Reference H^i_jkl: the delta_k G^i_jl loop over jets, term by term."""
+    n = pa.n
+    Gj = pa.Gj_jets
+    Gjl = pa.Gjk_jets
+
+    def delta(obj, k):
+        out = obj.base_deriv(k)
+        for m in range(n):
+            out = out - Gj[m][k] * obj.fiber_deriv(m)
+        return out
+
+    H = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(k + 1, n):
+                    t = delta(Gjl[i][j][l], k) - delta(Gjl[i][j][k], l)
+                    for m in range(n):
+                        t = t + Gjl[m][j][l] * Gjl[i][m][k] - Gjl[m][j][k] * Gjl[i][m][l]
+                    H[i][j][k][l] = t
+                    H[i][j][l][k] = -1.0 * t
+                H[i][j][k][k] = Jet.constant(pa.F2.spec, 0.0, pa.F2.shape)
+    return H
+
+
+def _ricci_tilde_jet_loop(pa, H):
+    """Reference Htilde_ij = 1/2 d^2 Q / dy^i dy^j with Q = g^{ks} y_r H^r_kjs y^j."""
+    n = pa.n
+    g, gi, ys = pa.g_jets, pa.ginv_jets, pa.ys
+    ylow = []
+    for r in range(n):
+        acc = g[r][0] * ys[0]
+        for m in range(1, n):
+            acc = acc + g[r][m] * ys[m]
+        ylow.append(acc)
+    Q = Jet.constant(pa.F2.spec, 0.0, pa.F2.shape)
+    for k in range(n):
+        for s in range(n):
+            for r in range(n):
+                for j in range(n):
+                    Q = Q + gi[k][s] * ylow[r] * H[r][k][j][s] * ys[j]
+    return 0.5 * pa.values([[Q.fiber_deriv(i).fiber_deriv(j) for j in range(n)]
+                            for i in range(n)])
+
+
+def test_bundle_matches_jet_loops(randers, funk):
+    """The array algebra on jets agrees with the term-by-term jet loops."""
+    for e in (randers, funk):
+        xs, ys = sample_points(e.structure, 12)
+        pa = PointAssembly(e.structure, xs, ys, forder=7, border=2)
+        H = _hh_jet_loop(pa)
+        cb = curvature_bundle(e.structure, xs, ys)
+        assert np.max(np.abs(cb.H - pa.values(H))) <= 1e-13
+        assert np.max(np.abs(cb.ricci_tilde - _ricci_tilde_jet_loop(pa, H))) <= 1e-13

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import finslerflow as ff
-from finslerflow.fields import GridStructure, TensorField
+from finslerflow.fields import GridStructure, TensorField, horizontal_cov_deriv
 from finslerflow.grids import GridError
+from finslerflow.jets import cos_, sin_
 from finslerflow.measure import (
     functional_report,
     global_inner,
@@ -13,6 +14,7 @@ from finslerflow.measure import (
     sm_integrate,
 )
 from finslerflow.oracles import gauss_curvature_spectral
+from finslerflow.variations import family_variation, randers_family
 
 TWO_PI = 2.0 * np.pi
 
@@ -115,6 +117,37 @@ def test_grid_vs_pointwise_cross_check(gs_randers, randers):
         ff.ricci_tensors(randers.structure, x, y)[1],
         atol=1e-8,
     )
+
+
+def _hh_einsum_chain(gs):
+    """Reference H^i_jkl on the grid: delta_k G^i_jl, antisymmetrized, all n^4 entries."""
+    Gjk = gs.Gjk
+    dG = np.stack([gs.dx(Gjk, 0), gs.dx(Gjk, 1)], axis=-1)  # (...,i,j,l,k)
+    delta = dG - np.einsum("...ijlm,...mk->...ijlk", gs.Gjkm, gs.Gj)
+    H = delta.transpose(*range(delta.ndim - 4), -4, -3, -1, -2)  # (...,i,j,k,l)
+    H = H - delta
+    H = H + np.einsum("...mjl,...imk->...ijkl", Gjk, Gjk)
+    return H - np.einsum("...mjk,...iml->...ijkl", Gjk, Gjk)
+
+
+def test_hh_matches_einsum_chain(gs_randers):
+    assert np.max(np.abs(gs_randers.hh - _hh_einsum_chain(gs_randers))) <= 1e-13
+
+
+def test_cov_deriv_valence_1_3(gs_randers, randers):
+    """nabla(delta^i_j h_kl) = delta^i_j nabla h_kl; the delta slots' Gamma-terms cancel."""
+    fam = randers_family(
+        randers.structure, lambda xs: (0.05 * cos_(xs[1]), 0.05 * sin_(xs[0]))
+    )
+    h = family_variation(fam, gs_randers).h
+    nab_h = horizontal_cov_deriv(h, gs_randers).data
+    assert np.max(np.abs(nab_h)) > 1e-2
+    eye = np.eye(2)
+    T = TensorField(np.einsum("ij,...kl->...ijkl", eye, h.data), (1, 3), h.homogeneity)
+    got = horizontal_cov_deriv(T, gs_randers)
+    assert got.valence == (1, 4)
+    want = np.einsum("ij,...klm->...ijklm", eye, nab_h)
+    assert np.max(np.abs(got.data - want)) <= 1e-12
 
 
 def test_tilde_light_matches_full(gs_randers, gs_conformal):

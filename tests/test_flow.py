@@ -1,6 +1,7 @@
 """Flow engine: encoding, stepping, diagnostics, checkpoints."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,9 +262,9 @@ def test_checkpoint_keeps_safety(tmp_path, conformal):
     write_checkpoint(p, st)
     assert read_checkpoint(p).safety == 0.1
     # files written before safety was stored read back with the default
-    rec = json.load(open(p))
+    rec = json.loads(Path(p).read_text())
     del rec["safety"]
-    json.dump(rec, open(p, "w"))
+    Path(p).write_text(json.dumps(rec))
     assert read_checkpoint(p).safety == 0.25
 
 
@@ -273,8 +274,8 @@ def test_negative_fiber_cut_rejected(tmp_path, conformal):
     st = make_state(conformal, N=16, NT=32, fiber_cut=2)
     p = str(tmp_path / "chk.json")
     write_checkpoint(p, st)
-    rec = json.load(open(p))
+    rec = json.loads(Path(p).read_text())
     rec["fiber_cut"] = -1
-    json.dump(rec, open(p, "w"))
+    Path(p).write_text(json.dumps(rec))
     with pytest.raises(ValueError):
         read_checkpoint(p)

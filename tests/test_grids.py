@@ -24,6 +24,8 @@ def test_build_grid_rejections():
     with pytest.raises(GridError):
         build_grid(2, 0, 1.0, 16)
     with pytest.raises(GridError):
+        build_grid(3, 16, 1.0, 32)
+    with pytest.raises(GridError):
         build_grid(4, 16, 1.0, 32)
     with pytest.raises(GridError):
         build_grid(2, 16, -1.0, 32)

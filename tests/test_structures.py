@@ -177,11 +177,9 @@ def test_fd_base_mode_matches_analytic(conformal):
     np.testing.assert_allclose(jf.c, ja.c, rtol=1e-8, atol=1e-9)
 
 
-def test_n3_euclidean_pointwise():
-    e3 = ff.get_entry("euclidean", n=3)
-    x = np.zeros(3)
-    y = np.array([1.0, 0.4, -0.2])
-    g = ff.fundamental_tensor(e3.structure, x, y)
-    np.testing.assert_allclose(g, np.eye(3), atol=1e-13)
-    C = ff.cartan_tensor(e3.structure, x, y)
-    assert np.max(np.abs(C)) <= 1e-13
+def test_structure_rejects_n3():
+    with pytest.raises(ValueError):
+        ff.FinslerStructure(
+            n=3, name="euclidean-3", chart=ff.get_entry("euclidean").chart,
+            f2=lambda xs, ys: ys[0] * ys[0] + ys[1] * ys[1] + ys[2] * ys[2],
+        )
