@@ -155,6 +155,8 @@ def cmd_validate(args) -> int:
 def cmd_report(args) -> int:
     from .curvature import curvature_bundle, gem_residual
 
+    if args.n_theta < 1:
+        raise UsageError(f"--n-theta must be at least 1, got {args.n_theta}")
     entry = _metric(args)
     fs = entry.structure
     x = np.asarray(_parse_floats(args.x, fs.n))

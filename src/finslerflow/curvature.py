@@ -136,7 +136,10 @@ def gem_residual(
     """Sup over the fiber of the metric-normalized gap Htilde_ij - (Htilde/n) g_ij.
 
     Zero (to numerical precision) exactly on generalized Einstein metrics.
+    Raises ``ValueError`` unless ``n_theta`` is at least 1.
     """
+    if n_theta < 1:
+        raise ValueError(f"n_theta must be at least 1, got {n_theta}")
     x = np.asarray(x, dtype=float)
     th = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     y = np.stack([np.cos(th), np.sin(th)], axis=-1)

@@ -19,6 +19,7 @@ and Riemannian states and a documented band-limitation otherwise.  With
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -445,9 +446,16 @@ def read_checkpoint(path: str) -> FlowState:
     g = record["grid"]
     bgrid = BaseGrid(g["n"], tuple(g["shape"]), tuple(g["lengths"]), (True,) * g["n"])
     fgrid = FiberGrid(g["n_theta"])
-    logF = np.asarray(record["logF"], dtype=float).reshape(
-        tuple(g["shape"]) + (g["n_theta"],)
-    )
+    shape = tuple(g["shape"]) + (g["n_theta"],)
+    logF = np.asarray(record["logF"], dtype=float)
+    if logF.shape != (math.prod(shape),):
+        raise FlowError(
+            f"{path}: logF holds {logF.size} values, the {shape} grid needs "
+            f"{math.prod(shape)}"
+        )
+    if not np.isfinite(logF).all():
+        raise FlowError(f"{path}: logF holds non-finite values")
+    logF = logF.reshape(shape)
     return FlowState(
         bgrid=bgrid, fgrid=fgrid, logF=logF, t=record["time"],
         step_index=record["step"], mode=record["mode"], stepper=record["stepper"],

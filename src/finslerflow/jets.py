@@ -16,9 +16,12 @@ Taylor coefficient is one contiguous plane over an arbitrary leading shape,
 and all operations broadcast over that shape, which is how grid sweeps
 vectorize.
 
-Orders are tracked per jet (``bvalid``/``fvalid``) and shrink under
-differentiation, so reading a derivative beyond what the inputs support is
-an error instead of silent garbage.
+A jet stores only its valid box: the orders ``bvalid``/``fvalid`` up to
+which its inputs determine it, which are always its spec's orders.  They
+shrink under differentiation, and a sum or product lives on the smaller of
+its operands' boxes, so no coefficient is computed that the inputs do not
+support, and reading a derivative beyond the box is an error instead of
+silent garbage.
 """
 
 from __future__ import annotations
@@ -82,7 +85,9 @@ def jet_spec(nbase: int, border: int, nfiber: int, forder: int) -> "JetSpec":
 class JetSpec:
     """Monomial tables for one (nbase, border, nfiber, forder) signature.
 
-    Instances are cached; construct through :func:`jet_spec`.
+    Instances are cached; construct through :func:`jet_spec`.  Monomials are
+    ordered base-major, each part by (total degree, exponents), so the spec
+    of any smaller box orders its monomials as the restriction of this order.
     """
 
     def __init__(self, nbase: int, border: int, nfiber: int, forder: int):
@@ -95,8 +100,6 @@ class JetSpec:
         self.nb = len(self.bmons)
         self.nf = len(self.fmons)
         self.ncoeff = self.nb * self.nf
-        self._bidx = {m: i for i, m in enumerate(self.bmons)}
-        self._fidx = {m: i for i, m in enumerate(self.fmons)}
 
         # flat monomial -> (base multi-index, fiber multi-index)
         self.mons = [(bm, fm) for bm in self.bmons for fm in self.fmons]
@@ -104,28 +107,25 @@ class JetSpec:
 
         # multiplication triplets c[k] += a[i]*b[j], i-major.  For a fixed i
         # the k's are distinct, so a group (i, js, ks) can be applied in one
-        # fancy-indexed update without changing any summation order.
-        self.mul_triplets = []
-        self.mul_groups = []
-        for i, (bi, fi) in enumerate(self.mons):
-            js, ks = [], []
-            for j, (bj, fj) in enumerate(self.mons):
-                bs = tuple(p + q for p, q in zip(bi, bj))
-                fs = tuple(p + q for p, q in zip(fi, fj))
-                if sum(bs) <= border and sum(fs) <= forder:
-                    k = self._midx[(bs, fs)]
-                    self.mul_triplets.append((i, j, k))
-                    js.append(j)
-                    ks.append(k)
-            if js:
-                self.mul_groups.append(
-                    (i, np.asarray(js, dtype=np.int64), np.asarray(ks, dtype=np.int64))
-                )
-
-        # derivative maps: per variable, arrays (dst, src, factor) with
-        # (d_v f)_beta = (beta_v + 1) * f_{beta + e_v}
-        self.base_dmaps = [self._dmap(v, True) for v in range(nbase)]
-        self.fiber_dmaps = [self._dmap(v, False) for v in range(nfiber)]
+        # fancy-indexed update without changing any summation order.  In a
+        # kept pair no exponent exceeds its order, so with mixed-radix keys
+        # (radix border+1 for base exponents, forder+1 for fiber ones) the
+        # key of the product monomial is the sum of its factors' keys.
+        radix = [border + 1] * nbase + [forder + 1] * nfiber
+        exps = np.array([bm + fm for bm, fm in self.mons], dtype=np.int64)
+        keys = exps @ np.cumprod([1] + radix[:-1])
+        bdeg, fdeg = exps[:, :nbase].sum(axis=1), exps[:, nbase:].sum(axis=1)
+        keep = (bdeg[:, None] + bdeg <= border) & (fdeg[:, None] + fdeg <= forder)
+        slot = np.full(math.prod(radix), -1, dtype=np.int64)
+        slot[keys] = np.arange(self.ncoeff)
+        ii, jj = np.nonzero(keep)
+        kk = slot[keys[ii] + keys[jj]]
+        self.mul_triplets = list(zip(ii.tolist(), jj.tolist(), kk.tolist()))
+        # every i has a group: the constant monomial j = 0 pairs with it
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        self.mul_groups = [
+            (i, jj[s:e], kk[s:e]) for i, (s, e) in enumerate(zip([0] + ends[:-1], ends))
+        ]
 
         fact = []
         for bm, fm in self.mons:
@@ -134,25 +134,40 @@ class JetSpec:
                 f *= math.factorial(a)
             fact.append(f)
         self.factorials = np.asarray(fact)
+        self._boxes: dict = {}
+        self._dmaps: dict = {}
 
-    def _dmap(self, var: int, base: bool):
-        dst, src, fac = [], [], []
-        for k, (bm, fm) in enumerate(self.mons):
-            if base:
-                shifted = (tuple(a + (1 if t == var else 0) for t, a in enumerate(bm)), fm)
-                mult = bm[var] + 1
-            else:
-                shifted = (bm, tuple(a + (1 if t == var else 0) for t, a in enumerate(fm)))
-                mult = fm[var] + 1
-            if shifted in self._midx:
-                dst.append(k)
-                src.append(self._midx[shifted])
-                fac.append(float(mult))
-        return (
-            np.asarray(dst, dtype=np.int64),
-            np.asarray(src, dtype=np.int64),
-            np.asarray(fac),
-        )
+    def box(self, border: int, forder: int) -> tuple["JetSpec", np.ndarray]:
+        """The spec of the (border, forder) box and the indices of its monomials here."""
+        key = (border, forder)
+        if key not in self._boxes:
+            if border > self.border or forder > self.forder:
+                raise ValueError(f"box ({border},{forder}) exceeds {self!r}")
+            sub = jet_spec(self.nbase, border, self.nfiber, forder)
+            self._boxes[key] = (
+                sub, np.asarray([self._midx[m] for m in sub.mons], dtype=np.int64)
+            )
+        return self._boxes[key]
+
+    def dmap(self, var: int, base: bool) -> tuple["JetSpec", np.ndarray, np.ndarray]:
+        """(spec, src, factor) of d/dx_var (``base``) or d/dy_var.
+
+        The derivative lives on the box one order lower in that kind of
+        variable, where (d_v f)_beta = (beta_v + 1) * f_{beta + e_v} with
+        ``f_{beta + e_v} = c[src]``.
+        """
+        key = (var, base)
+        if key not in self._dmaps:
+            sub = jet_spec(self.nbase, self.border - base, self.nfiber,
+                           self.forder - (not base))
+            src, fac = [], []
+            for bm, fm in sub.mons:
+                mon = bm if base else fm
+                up = tuple(a + (t == var) for t, a in enumerate(mon))
+                src.append(self._midx[(up, fm) if base else (bm, up)])
+                fac.append(float(mon[var] + 1))
+            self._dmaps[key] = (sub, np.asarray(src, dtype=np.int64), np.asarray(fac))
+        return self._dmaps[key]
 
     def index(self, bmon: tuple[int, ...], fmon: tuple[int, ...]) -> int:
         return self._midx[(bmon, fmon)]
@@ -166,10 +181,12 @@ class JetSpec:
 
 @dataclass
 class Jet:
-    """Truncated Taylor expansion with tracked valid orders.
+    """Truncated Taylor expansion that stores only its valid orders.
 
     ``c`` has shape ``(spec.ncoeff,) + leading_shape``.  ``bvalid`` and
-    ``fvalid`` are the orders up to which coefficients are trustworthy.
+    ``fvalid`` are the orders up to which coefficients are trustworthy, and
+    they always equal ``spec.border`` and ``spec.forder``: a jet built with
+    lower orders than its spec keeps only the coefficients of that box.
     """
 
     spec: JetSpec
@@ -179,6 +196,11 @@ class Jet:
 
     # keep numpy from absorbing us into object arrays; reflected ops run here
     __array_ufunc__ = None
+
+    def __post_init__(self):
+        if self.bvalid != self.spec.border or self.fvalid != self.spec.forder:
+            self.spec, idx = self.spec.box(self.bvalid, self.fvalid)
+            self.c = self.c[idx]
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -232,55 +254,44 @@ class Jet:
         """d/dx_var as a jet (base order drops by one)."""
         if self.bvalid < 1:
             raise JetOrderError("no base order left to differentiate")
-        return Jet(self.spec, self._apply_dmap(self.spec.base_dmaps[var]),
-                   self.bvalid - 1, self.fvalid)
+        return self._apply_dmap(self.spec.dmap(var, True))
 
     def fiber_deriv(self, var: int) -> "Jet":
         """d/dy_var as a jet (fiber order drops by one)."""
         if self.fvalid < 1:
             raise JetOrderError("no fiber order left to differentiate")
-        return Jet(self.spec, self._apply_dmap(self.spec.fiber_dmaps[var]),
-                   self.bvalid, self.fvalid - 1)
+        return self._apply_dmap(self.spec.dmap(var, False))
 
-    def _apply_dmap(self, dmap) -> np.ndarray:
-        dst, src, fac = dmap
-        c = np.zeros_like(self.c)
-        c[dst] = self.c[src] * _lift(fac, self.c.ndim - 1)
-        return c
+    def _apply_dmap(self, dmap) -> "Jet":
+        spec, src, fac = dmap
+        return Jet(spec, self.c[src] * _lift(fac, self.c.ndim - 1), spec.border, spec.forder)
 
     # -- arithmetic ----------------------------------------------------
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
-            if other.spec is not self.spec:
+            if (other.spec.nbase, other.spec.nfiber) != (self.spec.nbase, self.spec.nfiber):
                 raise ValueError("jet spec mismatch")
             return other
         return Jet.constant(self.spec, other, self.shape)
 
     def _aligned(self, other):
-        """(other as a jet, own coefficients, its coefficients), leads padded alike."""
+        """(spec, own coefficients, other's) on the two jets' common box, leads padded alike."""
         o = self._coerce(other)
-        ndim = max(self.c.ndim, o.c.ndim) - 1
-        return o, _lift(self.c, ndim), _lift(o.c, ndim)
+        border, forder = min(self.bvalid, o.bvalid), min(self.fvalid, o.fvalid)
+        a = Jet(self.spec, self.c, border, forder)
+        b = Jet(o.spec, o.c, border, forder).c
+        ndim = max(a.c.ndim, b.ndim) - 1
+        return a.spec, _lift(a.c, ndim), _lift(b, ndim)
 
     def __add__(self, other):
-        o, a, b = self._aligned(other)
-        return Jet(
-            self.spec,
-            a + b,
-            min(self.bvalid, o.bvalid),
-            min(self.fvalid, o.fvalid),
-        )
+        spec, a, b = self._aligned(other)
+        return Jet(spec, a + b, spec.border, spec.forder)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o, a, b = self._aligned(other)
-        return Jet(
-            self.spec,
-            a - b,
-            min(self.bvalid, o.bvalid),
-            min(self.fvalid, o.fvalid),
-        )
+        spec, a, b = self._aligned(other)
+        return Jet(spec, a - b, spec.border, spec.forder)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -298,8 +309,10 @@ class Jet:
                 self.bvalid,
                 self.fvalid,
             )
-        o, a, b = self._aligned(other)
-        spec = self.spec
+        # Coefficients of the common box depend only on coefficients inside
+        # it, and its spec's triplets are the full spec's in the same order,
+        # so each one is summed exactly as a full-spec product would.
+        spec, a, b = self._aligned(other)
         lead = np.broadcast_shapes(a.shape[1:], b.shape[1:])
         full = (spec.ncoeff,) + lead
         a = np.broadcast_to(a, full)
@@ -311,7 +324,7 @@ class Jet:
         else:
             for i, j, k in spec.mul_triplets:
                 out[k] += a[i] * b[j]
-        return Jet(spec, out, min(self.bvalid, o.bvalid), min(self.fvalid, o.fvalid))
+        return Jet(spec, out, spec.border, spec.forder)
 
     __rmul__ = __mul__
 
@@ -329,7 +342,6 @@ class Jet:
             if p < 0:
                 return (self._reciprocal()) ** (-p)
             out = Jet.constant(self.spec, 1.0, self.shape)
-            out.bvalid, out.fvalid = self.bvalid, self.fvalid
             base = self
             while p:
                 if p & 1:
@@ -355,7 +367,6 @@ class Jet:
         nil = self._nilpotent()
         m = series.shape[0] - 1
         out = Jet.constant(self.spec, series[m], self.shape)
-        out.bvalid, out.fvalid = self.bvalid, self.fvalid
         for j in range(m - 1, -1, -1):
             out = out * nil
             out.c[0] += series[j]

@@ -171,6 +171,20 @@ def test_flow_gem_stride_below_one_exit_2(capsys, tmp_path, stride):
     assert not (out_dir / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("n_theta", ["0", "-3"])
+def test_report_n_theta_below_one_exit_2(capsys, tmp_path, n_theta):
+    # 0 divided by zero and -3 failed in numpy; both are usage errors
+    out_dir = tmp_path / "rep"
+    code, out, err = run_cli(
+        capsys, "report", "--metric", "funk-disk", "--x", "0.2,0.1", "--theta", "0.7",
+        "--n-theta", n_theta, "--out", str(out_dir),
+    )
+    assert code == 2 and out == ""
+    (rec,) = json_lines(err)
+    assert rec["code"] == 2 and "--n-theta" in rec["error"]
+    assert not out_dir.exists()
+
+
 def test_config_without_path_exit_2(capsys):
     code, _, err = run_cli(capsys, "zoo", "--config")
     assert code == 2

@@ -10,6 +10,7 @@ import finslerflow as ff
 from finslerflow.fields import GridStructure
 from finslerflow.flow import (
     FlowDiagnostics,
+    FlowError,
     diagnostics,
     dt_policy,
     encode_state,
@@ -266,6 +267,20 @@ def test_checkpoint_keeps_safety(tmp_path, conformal):
     del rec["safety"]
     Path(p).write_text(json.dumps(rec))
     assert read_checkpoint(p).safety == 0.25
+
+
+@pytest.mark.parametrize("damage", ["truncated", "nan"])
+def test_checkpoint_logF_checked(tmp_path, conformal, damage):
+    p = tmp_path / "chk.json"
+    write_checkpoint(str(p), make_state(conformal, N=16, NT=32))
+    rec = json.loads(p.read_text())
+    if damage == "truncated":
+        rec["logF"] = rec["logF"][:-7]
+    else:
+        rec["logF"][100] = float("nan")
+    p.write_text(json.dumps(rec))
+    with pytest.raises(FlowError, match="chk.json"):
+        read_checkpoint(str(p))
 
 
 def test_negative_fiber_cut_rejected(tmp_path, conformal):

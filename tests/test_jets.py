@@ -154,3 +154,125 @@ def test_product_paths_match_triplet_loop():
         got = a * b
         assert got.shape == lead
         assert np.array_equal(got.c, want)
+
+
+def _box_indices(spec, border, forder):
+    """Indices in ``spec`` of the monomials of the (border, forder) box, in its order."""
+    return [
+        k for k, (bm, fm) in enumerate(spec.mons) if sum(bm) <= border and sum(fm) <= forder
+    ]
+
+
+def test_truncated_product_matches_full_triplet_loop():
+    # Operands valid below the full spec store only their boxes; the product
+    # lives on the smaller box, and each of its coefficients equals the plain
+    # full-spec triplet loop bit for bit, though the full arrays carry
+    # garbage past the operands' orders.
+    spec = jet_spec(2, 2, 2, 4)
+    rng = np.random.default_rng(11)
+    for lead in ((), (5,), (3, 700)):
+        A = rng.normal(size=(spec.ncoeff,) + lead)
+        B = rng.normal(size=(spec.ncoeff,) + lead[-1:])
+        a, b = Jet(spec, A, 1, 4), Jet(spec, B, 2, 2)
+        assert (a.spec.border, a.spec.forder, b.spec.border, b.spec.forder) == (1, 4, 2, 2)
+        box = _box_indices(spec, 1, 2)
+        for left, right, L, R in ((a, b, A, B), (b, a, B, A)):
+            want = np.zeros((spec.ncoeff,) + lead)
+            for i, j, k in spec.mul_triplets:
+                want[k] = want[k] + L[i] * R[j]
+            got = left * right
+            assert got.shape == lead
+            assert (got.bvalid, got.fvalid) == (1, 2)
+            assert (got.spec.border, got.spec.forder) == (1, 2)
+            assert got.spec.mons == [spec.mons[k] for k in box]
+            assert np.array_equal(got.c, want[box])
+    # sums keep the common box too; different variable counts still clash
+    s = Jet(spec, A, 1, 4) + Jet(spec, B, 2, 2)
+    assert np.array_equal(s.c, (A + B[:, None])[box])
+    _, (yf, _) = vars_at([0, 0], [1.0, 1.0], border=0, forder=3)
+    with pytest.raises(ValueError, match="spec mismatch"):
+        _ = a + yf
+
+
+def test_derivatives_shrink_the_stored_box():
+    (x1, _), (y1, y2) = vars_at([0.3, 0.4], [1.0, 0.7], border=2, forder=4)
+    f = sin_(x1) * exp_(y1 * y2)
+    spec = f.spec
+    for d, var, base in ((f.base_deriv(1), 1, True), (f.fiber_deriv(0), 0, False)):
+        border, forder = (1, 4) if base else (2, 3)
+        assert (d.bvalid, d.fvalid) == (border, forder)
+        assert (d.spec.border, d.spec.forder) == (border, forder)
+        assert d.c.shape == (len(_box_indices(spec, border, forder)),)
+        # (d_v f)_beta = (beta_v + 1) * f_{beta + e_v}
+        for k, (bm, fm) in enumerate(d.spec.mons):
+            mon = list(bm if base else fm)
+            mult = mon[var] + 1
+            mon[var] += 1
+            src = spec.index(tuple(mon), fm) if base else spec.index(bm, tuple(mon))
+            assert d.c[k] == f.c[src] * mult
+    d2 = f.base_deriv(0).base_deriv(1)
+    assert (d2.spec.border, d2.spec.forder) == (0, 4)
+    assert d2.deriv(fmon=(1, 1)) == f.deriv(bmon=(1, 1), fmon=(1, 1))
+    with pytest.raises(JetOrderError):
+        d2.deriv(bmon=(1, 0))
+    with pytest.raises(JetOrderError):
+        d2.base_deriv(0)
+    with pytest.raises(JetOrderError):
+        f.fiber_deriv(0).deriv(fmon=(4, 0))
+
+
+def _double_loop_tables(spec):
+    """The O(ncoeff^2) triplet and group builder the vectorized tables replace."""
+    triplets, groups = [], []
+    for i, (bi, fi) in enumerate(spec.mons):
+        js, ks = [], []
+        for j, (bj, fj) in enumerate(spec.mons):
+            bs = tuple(p + q for p, q in zip(bi, bj))
+            fs = tuple(p + q for p, q in zip(fi, fj))
+            if sum(bs) <= spec.border and sum(fs) <= spec.forder:
+                k = spec.index(bs, fs)
+                triplets.append((i, j, k))
+                js.append(j)
+                ks.append(k)
+        if js:
+            groups.append((i, np.asarray(js, dtype=np.int64), np.asarray(ks, dtype=np.int64)))
+    return triplets, groups
+
+
+@pytest.mark.parametrize("sig", [(2, 2, 2, 7), (2, 2, 2, 4), (2, 1, 2, 2), (0, 0, 2, 7)])
+def test_spec_tables_match_double_loop(sig):
+    spec = jet_spec(*sig)
+    triplets, groups = _double_loop_tables(spec)
+    assert spec.mul_triplets == triplets
+    assert all(type(t) is int for trip in spec.mul_triplets for t in trip)
+    assert len(spec.mul_groups) == len(groups)
+    for (i, js, ks), (wi, wjs, wks) in zip(spec.mul_groups, groups):
+        assert i == wi and type(i) is int
+        assert js.dtype == ks.dtype == np.int64
+        assert np.array_equal(js, wjs) and np.array_equal(ks, wks)
+
+
+def test_bundle_assembly_stores_valid_boxes(monkeypatch):
+    from finslerflow import curvature
+    from finslerflow.zoo import get_entry
+
+    made = []
+
+    class Recording(curvature.PointAssembly):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(curvature, "PointAssembly", Recording)
+    fs = get_entry("funk-disk").structure
+    curvature.curvature_bundle(fs, np.array([0.2, 0.1]), np.array([np.cos(0.7), np.sin(0.7)]))
+    (pa,) = made
+    jets = [pa.F2, *pa.ys]
+    for value in pa._cache.values():
+        jets.extend(np.asarray(value, dtype=object).ravel())
+    assert len(jets) > 20 and all(isinstance(j, Jet) for j in jets)
+    for j in jets:
+        assert (j.spec.border, j.spec.forder) == (j.bvalid, j.fvalid)
+        assert j.c.shape[0] == j.spec.ncoeff
+    # the spray stack sits below the input box: Gjk is valid to (1, 3)
+    assert {(j.bvalid, j.fvalid) for j in pa.Gjk_jets.ravel()} == {(1, 3)}
