@@ -1,10 +1,11 @@
-"""Connection and curvature algebra on component arrays.
+"""The connection and curvature stack of F^2, written once for two engines.
 
-Each formula is written once, on numpy arrays whose trailing axes carry the
-tensor indices.  The two derivative back-ends feed it: exact jets at points
-(:class:`finslerflow.connections.PointAssembly`, numpy object arrays of
-:class:`~finslerflow.jets.Jet`) and spectral-fiber/FD4 grids
-(:class:`finslerflow.fields.GridStructure`, float arrays).  Base and fiber
+:class:`ConnectionStack` says which quantity is built from which; the
+formulas it calls sit below it, on numpy arrays whose trailing axes carry
+the tensor indices.  Its engines are
+:class:`finslerflow.connections.PointAssembly` (exact jets in numpy object
+arrays) and :class:`finslerflow.fields.GridStructure` (floats on a spectral
+fiber grid with FD4 or spectral base derivatives).  Base and fiber
 derivatives always sit on the last axis: ``dT[..., idx, k] = d T_idx / dx^k``
 and ``fT[..., idx, m] = d T_idx / dy^m``.  The structures are 2-dimensional.
 """
@@ -13,10 +14,189 @@ from __future__ import annotations
 
 import numpy as np
 
+from .structures import SingularMetricError
+
 __all__ = [
-    "christoffel", "cartan_hcoeffs", "spray_trace", "hh_curvature", "ricci", "huu",
-    "gem_gap",
+    "ConnectionStack", "christoffel", "cartan_hcoeffs", "spray_trace", "hh_curvature",
+    "ricci", "huu", "gem_gap", "min_eig",
 ]
+
+
+def _at(T, *idx):
+    """Component ``idx`` over the trailing axes; a single jet comes out bare."""
+    out = T[(...,) + idx]
+    return out[()] if out.ndim == 0 else out
+
+
+class ConnectionStack:
+    """Lazily cached connection and curvature quantities of F^2.
+
+    A subclass supplies the engine: ``F2``, ``x``, ``y`` (the fiber point,
+    as the engine's variables), an empty ``_cache`` dict and
+
+    * ``fiber(T, d)``: d/dy^m of a d-homogeneous T on a new last axis m;
+    * ``base(T)``: d/dx^k on a new last axis k; ``dx(T, k)``: one of them;
+    * ``values(T)``, ``base_values(T)``: T and ``base(T)`` as float arrays;
+    * ``tilde(q)``: 1/2 d^2 q / dy^i dy^j of a 2-homogeneous scalar, as floats.
+
+    Jets keep every quantity up to ``ricci`` (and ``Q``) as jets; ``gamma``,
+    ``Gamma`` and the scalars are float arrays on either engine.
+    """
+
+    def _get(self, key, builder):
+        if key not in self._cache:
+            self._cache[key] = builder()
+        return self._cache[key]
+
+    # -- metric ------------------------------------------------------------
+    @property
+    def g(self):
+        """g_ij = 1/2 d^2 F^2 / dy^i dy^j."""
+        return self._get("g", lambda: 0.5 * self.fiber(self.fiber(self.F2, 2), 1))
+
+    @property
+    def ginv(self):
+        """g^ij by adjugate over determinant; raises unless g is positive definite."""
+        def build():
+            g = self.g
+            lam = min_eig(self.values(g))
+            if np.any(lam <= 0.0):
+                k = np.unravel_index(np.nanargmin(lam), lam.shape)
+                raise SingularMetricError(float(lam[k]), where=tuple(map(int, k)) or None)
+            a, b, d = _at(g, 0, 0), _at(g, 0, 1), _at(g, 1, 1)
+            det = a * d - b * b
+            off = -b / det
+            out = np.empty_like(g)
+            out[..., 0, 0] = d / det
+            out[..., 0, 1] = off
+            out[..., 1, 0] = off
+            out[..., 1, 1] = a / det
+            return out
+        return self._get("ginv", build)
+
+    @property
+    def cartan(self):
+        """C_ijk = 1/2 d g_ij / dy^k."""
+        return self._get("cartan", lambda: 0.5 * self.fiber(self.g, 0))
+
+    # -- spray stack ---------------------------------------------------------
+    @property
+    def A(self):
+        """A_h = y^j d(dF^2/dy^h)/dx^j - dF^2/dx^h (the lowered spray, times 4).
+
+        Built one component at a time, so no whole base-derivative array of
+        dF^2/dy is held.
+        """
+        def build():
+            dF2 = self.fiber(self.F2, 2)
+            out = np.empty_like(dF2)
+            for h in range(2):
+                acc = -self.dx(self.F2, h)
+                for j in range(2):
+                    acc = acc + _at(self.y, j) * self.dx(_at(dF2, h), j)
+                out[..., h] = acc
+            return out
+        return self._get("A", build)
+
+    @property
+    def G(self):
+        """Spray G^i, 2-homogeneous."""
+        def build():
+            # A first, while the cache holds little: on jets its build holds
+            # both dF^2/dy^h and, after g and g^-1, set the memory peak
+            A = self.A
+            return 0.25 * np.einsum("...ih,...h->...i", self.ginv, A)
+        return self._get("G", build)
+
+    @property
+    def Gj(self):
+        """Nonlinear connection G^i_j."""
+        return self._get("Gj", lambda: self.fiber(self.G, 2))
+
+    @property
+    def Gjk(self):
+        """Berwald coefficients G^i_jk."""
+        return self._get("Gjk", lambda: self.fiber(self.Gj, 1))
+
+    @property
+    def Gjkm(self):
+        """d G^i_jk / dy^m."""
+        return self._get("Gjkm", lambda: self.fiber(self.Gjk, 0))
+
+    @property
+    def gamma(self):
+        """Formal Christoffel symbols of g taken in x."""
+        return self._get(
+            "gamma", lambda: christoffel(self.values(self.ginv), self.base_values(self.g))
+        )
+
+    @property
+    def Gamma(self):
+        """Horizontal Cartan coefficients Gamma^i_jk."""
+        return self._get("Gamma", lambda: cartan_hcoeffs(
+            self.gamma, self.values(self.cartan), self.values(self.ginv), self.values(self.Gj)
+        ))
+
+    # -- curvature -------------------------------------------------------------
+    @property
+    def hh(self):
+        """Berwald hh-curvature H^i_jkl."""
+        return self._get(
+            "hh", lambda: hh_curvature(self.Gj, self.Gjk, self.base(self.Gjk), self.Gjkm)
+        )
+
+    @property
+    def ricci(self):
+        """Akbar-Zadeh Ricci H_ij = g^{ks} H_ikjs."""
+        return self._get("ricci", lambda: ricci(self.g, self.ginv, self.hh))
+
+    @property
+    def Q(self):
+        """H_rs y^r y^s (2-homogeneous scalar)."""
+        y = self.y
+        return self._get("Q", lambda: np.einsum("...ij,...i,...j->...", self.ricci, y, y))
+
+    @property
+    def ricci_scalar(self):
+        """Trace R^k_k of the spray curvature (the light route to H(u,u) F^2)."""
+        def build():
+            G, Gj = self.G, self.Gj
+            return spray_trace(
+                self.values(self.y), self.values(G), self.base_values(G),
+                self.values(Gj), self.base_values(Gj), self.values(self.Gjk),
+            )
+        return self._get("ricci_scalar", build)
+
+    @property
+    def ricci_tilde(self):
+        """Htilde_ij = 1/2 d^2(H_rs y^r y^s)/dy^i dy^j."""
+        return self._get("ricci_tilde", lambda: self.tilde(self.Q))
+
+    @property
+    def huu(self):
+        """Ricci-directional curvature H(u,u) = H^k_jkl y^j y^l / F^2."""
+        return self._get("huu", lambda: huu(
+            self.values(self.hh), self.values(self.y)) / self.values(self.F2))
+
+    @property
+    def h_tilde(self):
+        """Second-type scalar curvature Htilde = g^{ij} Htilde_ij."""
+        return self._get("h_tilde", lambda: np.einsum(
+            "...ij,...ij->...", self.values(self.ginv), self.ricci_tilde))
+
+    def h_hat(self, c_fun=None):
+        """Hhat = Htilde - c(x) H(u,u), the functional integrand; c defaults to 0."""
+        if c_fun is None:
+            return self.h_tilde
+        cx = np.asarray(c_fun(self.x), dtype=float) if callable(c_fun) else float(c_fun)
+        return self.h_tilde - cx * self.huu
+
+
+def min_eig(g: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of symmetric 2 x 2 matrices, in closed form."""
+    tr = g[..., 0, 0] + g[..., 1, 1]
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
+    return tr / 2.0 - np.sqrt(np.maximum(tr * tr / 4.0 - det, 0.0))
 
 
 def christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:

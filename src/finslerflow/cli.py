@@ -160,6 +160,8 @@ def cmd_report(args) -> int:
     entry = _metric(args)
     fs = entry.structure
     x = np.asarray(_parse_floats(args.x, fs.n))
+    if not fs.chart.contains(x):
+        raise UsageError(f"--x {args.x} lies outside the chart {fs.chart.describe()}")
     theta = float(args.theta)
     y = np.array([np.cos(theta), np.sin(theta)])
     cb = curvature_bundle(fs, x, y, c_fun=args.c)
@@ -262,8 +264,14 @@ def cmd_verify_identities(args) -> int:
 def cmd_flow(args) -> int:
     entry = _metric(args)
     n1, n2, nt = _parse_grid(args.grid)
-    if args.gem_stride < 1:
-        raise UsageError(f"--gem-stride must be at least 1, got {args.gem_stride}")
+    # checked before anything is written; --checkpoint-every and --dt may be unset
+    for flag, value in (("--gem-stride", args.gem_stride), ("--steps", args.steps),
+                        ("--checkpoint-every", args.checkpoint_every)):
+        if value is not None and value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
+    for flag, value in (("--dt", args.dt), ("--safety", args.safety)):
+        if value is not None and not value > 0:
+            raise UsageError(f"{flag} must be positive, got {value}")
     try:
         bgrid, fgrid = build_grid(
             2, (n1, n2), entry.structure.chart.lengths or 2 * np.pi, nt

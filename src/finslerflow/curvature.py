@@ -47,20 +47,6 @@ class CurvatureBundle:
     h_hat: np.ndarray      # Htilde - c(x) H(u,u)
 
 
-def _hh_jets(pa: PointAssembly) -> np.ndarray:
-    """H^i_jkl as jets (valid fiber order = input order - 5)."""
-    Gjk = pa.Gjk_jets
-    return algebra.hh_curvature(pa.Gj_jets, Gjk, pa.base(Gjk), pa.fiber(Gjk))
-
-
-def _ricci_shen(pa: PointAssembly) -> np.ndarray:
-    """Trace R^k_k of the spray curvature (light route, fiber order 4)."""
-    return algebra.spray_trace(
-        pa.y, pa.spray_values(), pa.values(pa.G_jets, base_deriv=True),
-        pa.Gj_values(), pa.values(pa.Gj_jets, base_deriv=True), pa.Gjk_values(),
-    )
-
-
 def curvature_bundle(
     fs: FinslerStructure,
     x,
@@ -71,36 +57,16 @@ def curvature_bundle(
 ) -> CurvatureBundle:
     """Full curvature stack at (x, y); x, y shaped (..., n)."""
     pa = PointAssembly(fs, x, y, forder=7, border=2, base_mode=base_mode, fd_step=fd_step)
-    Hjets = _hh_jets(pa)
-    g = pa.g()
-    gi = pa.ginv()
-    u = pa.y / np.sqrt(pa.F2.value())[..., None]
-    Hval = pa.values(Hjets)
-    huu = algebra.huu(Hval, u)
-
-    # Q = H_rs y^r y^s as a jet --> Htilde_ij = 1/2 * d^2 Q
-    ricci_jets = algebra.ricci(pa.g_jets, pa.ginv_jets, Hjets)
-    Q = np.einsum("rs,r,s->", ricci_jets, pa.ys, pa.ys)
-    rt = 0.5 * pa.values(pa.fiber(pa.fiber(Q)))
-    h_tilde = np.einsum("...ij,...ij->...", gi, rt)
-
-    if c_fun is None:
-        cx = 0.0
-    elif callable(c_fun):
-        cx = c_fun(pa.x)
-    else:
-        cx = float(c_fun)
-    h_hat = h_tilde - cx * huu
     return CurvatureBundle(
-        g=g, ginv=gi, H=Hval, ricci=pa.values(ricci_jets), ricci_tilde=rt,
-        huu=huu, h_tilde=h_tilde, h_hat=h_hat,
+        g=pa.values(pa.g), ginv=pa.values(pa.ginv), H=pa.values(pa.hh), ricci=pa.values(pa.ricci),
+        ricci_tilde=pa.ricci_tilde, huu=pa.huu, h_tilde=pa.h_tilde, h_hat=pa.h_hat(c_fun),
     )
 
 
 def hh_curvature(fs: FinslerStructure, x, y, base_mode: str = "auto") -> np.ndarray:
     """Berwald hh-curvature H^i_jkl, shape (..., n, n, n, n)."""
     pa = PointAssembly(fs, x, y, forder=5, border=2, base_mode=base_mode)
-    return pa.values(_hh_jets(pa))
+    return pa.values(pa.hh)
 
 
 def ricci_tensors(fs: FinslerStructure, x, y, base_mode: str = "auto"):
@@ -118,7 +84,7 @@ def ricci_directional(fs: FinslerStructure, x, y, base_mode: str = "auto",
     """
     pa = PointAssembly(fs, x, y, forder=4, border=2, base_mode=base_mode,
                        fd_step=fd_step)
-    return _ricci_shen(pa) / pa.F2.value()
+    return pa.ricci_scalar / pa.values(pa.F2)
 
 
 def hat_scalars(fs: FinslerStructure, x, y, c_fun=None, base_mode: str = "auto"):

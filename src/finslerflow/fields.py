@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .grids import BaseGrid, FiberGrid, GridError, base_derivative
-from .structures import FinslerStructure, SingularMetricError
+from .grids import BaseGrid, FiberGrid, GridError, _spectral, base_derivative
+from .structures import FinslerStructure
 
 __all__ = [
     "TensorField",
@@ -33,29 +33,13 @@ __all__ = [
 
 def theta_derivative(w: np.ndarray, order: int = 1, axis: int = 2) -> np.ndarray:
     """Spectral derivative along the fiber angle axis (period 2*pi)."""
-    N = w.shape[axis]
-    wh = np.fft.rfft(w, axis=axis)
-    k = np.arange(wh.shape[axis], dtype=float)
-    if order % 2 == 1 and N % 2 == 0:
-        k = k.copy()
-        k[-1] = 0.0
-    mult = (1j * k) ** order
-    sh = [1] * wh.ndim
-    sh[axis] = len(k)
-    return np.fft.irfft(wh * mult.reshape(sh), n=N, axis=axis)
-
-
-def _trig(thetas: np.ndarray, extra_axes: int):
-    sh = (1, 1, len(thetas)) + (1,) * extra_axes
-    c = np.cos(thetas).reshape(sh)
-    s = np.sin(thetas).reshape(sh)
-    return c, s
+    return _spectral(w, axis, 2.0 * np.pi, order)
 
 
 def fiber_partials(w: np.ndarray, d: int, thetas: np.ndarray) -> np.ndarray:
     """d/dy^j of a d-homogeneous field sampled at y = e(theta); new last axis j."""
-    extra = w.ndim - 3
-    c, s = _trig(thetas, extra)
+    sh = (1, 1, len(thetas)) + (1,) * (w.ndim - 3)
+    c, s = np.cos(thetas).reshape(sh), np.sin(thetas).reshape(sh)
     wt = theta_derivative(w, 1)
     out = np.empty(w.shape + (2,))
     out[..., 0] = d * c * w - s * wt
@@ -80,8 +64,8 @@ class TensorField:
             raise ValueError("data rank does not match declared valence")
 
 
-class GridStructure:
-    """Connection/curvature stack of a Finsler structure sampled on grids.
+class GridStructure(algebra.ConnectionStack):
+    """The connection stack on float fields at y = e(theta), plus grid-only quantities.
 
     ``source`` is either an analytic :class:`FinslerStructure` (periodic
     chart) or a log F array of shape ``bgrid.shape + (n_theta,)`` describing
@@ -102,18 +86,18 @@ class GridStructure:
         self._cache: dict = {}
         nodes = bgrid.nodes()  # (N1, N2, 2)
         self.x_nodes = nodes
+        self.x = nodes[:, :, None, :]  # (N1, N2, 1, 2)
         th = self.thetas
         self.e = np.stack([np.cos(th), np.sin(th)], axis=-1)  # (Ntheta, 2)
         self.eperp = np.stack([-np.sin(th), np.cos(th)], axis=-1)
+        self.y = self.e[None, None, :, :]  # (1, 1, Ntheta, 2)
         if isinstance(source, FinslerStructure):
             if source.mode != "analytic":
                 raise GridError("grid sampling needs an analytic structure or logF data")
             if not source.chart.periodic:
                 raise GridError(f"{source.name}: non-periodic chart cannot be grid-sampled")
             self.structure = source
-            x = nodes[:, :, None, :]  # (N1, N2, 1, 2)
-            y = self.e[None, None, :, :]  # (1, 1, Ntheta, 2)
-            F2 = source.F2(x, y)
+            F2 = source.F2(self.x, self.y)
             self.F2 = np.broadcast_to(F2, bgrid.shape + (fgrid.n_theta,)).copy()
             self.logF = 0.5 * np.log(self.F2)
         else:
@@ -129,12 +113,7 @@ class GridStructure:
             raise GridError("F^2 must be finite and positive on the grid")
         self.F = np.sqrt(self.F2)
 
-    # -- helpers --------------------------------------------------------
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
+    # -- engine ------------------------------------------------------------
     def dx(self, field: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
         return base_derivative(field, self.bgrid, axis, order, self.base_mode)
 
@@ -145,49 +124,38 @@ class GridStructure:
     def fiber(self, w: np.ndarray, d: int) -> np.ndarray:
         return fiber_partials(w, d, self.thetas)
 
+    def values(self, field: np.ndarray) -> np.ndarray:
+        return field
+
+    def base_values(self, field: np.ndarray) -> np.ndarray:
+        return self.base(field)
+
+    def tilde(self, q: np.ndarray) -> np.ndarray:
+        """1/2 d^2(r^2 q)/dy^i dy^j at r = 1 from exact interpolant derivatives.
+
+        Htilde = q I + q'/2 (e ox eperp + eperp ox e) + q''/2 (eperp ox eperp).
+        """
+        q1 = theta_derivative(q, 1)
+        q2 = theta_derivative(q, 2)
+        e = self.y
+        ep = self.eperp[None, None, :, :]
+        sym = np.einsum("...i,...j->...ij", e, ep)
+        sym = sym + np.swapaxes(sym, -1, -2)
+        return (
+            q[..., None, None] * np.eye(2)
+            + 0.5 * q1[..., None, None] * sym
+            + 0.5 * q2[..., None, None] * np.einsum("...i,...j->...ij", ep, ep)
+        )
+
     @property
     def weight(self) -> float:
         h1, h2 = self.bgrid.spacing
         return h1 * h2 * self.fgrid.spacing
 
-    # -- metric level ----------------------------------------------------
-    @property
-    def g(self) -> np.ndarray:
-        def build():
-            dF2 = self.fiber(self.F2, 2)          # (..., i)
-            return 0.5 * self.fiber(dF2, 1)        # (..., i, j)
-        return self._get("g", build)
-
-    @property
-    def ginv(self) -> np.ndarray:
-        def build():
-            g = self.g
-            det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-            if np.any(det <= 0):
-                node = np.unravel_index(int(np.argmin(det)), det.shape)
-                raise SingularMetricError(float(np.min(det)), where=node)
-            out = np.empty_like(g)
-            out[..., 0, 0] = g[..., 1, 1]
-            out[..., 1, 1] = g[..., 0, 0]
-            out[..., 0, 1] = -g[..., 0, 1]
-            out[..., 1, 0] = -g[..., 0, 1]
-            return out / det[..., None, None]
-        return self._get("ginv", build)
-
+    # -- grid-only quantities ------------------------------------------------
     @property
     def min_eig_g(self) -> float:
-        def build():
-            g = self.g
-            tr = g[..., 0, 0] + g[..., 1, 1]
-            det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-            disc = np.sqrt(np.maximum(tr * tr / 4.0 - det, 0.0))
-            return float(np.min(tr / 2.0 - disc))
-        return self._get("min_eig_g", build)
-
-    @property
-    def cartan(self) -> np.ndarray:
-        """C_ijk = 1/2 d g_ij / dy^k."""
-        return self._get("cartan", lambda: 0.5 * self.fiber(self.g, 0))
+        return self._get("min_eig_g", lambda: float(np.min(algebra.min_eig(self.g))))
 
     @property
     def mean_cartan(self) -> np.ndarray:
@@ -196,7 +164,6 @@ class GridStructure:
             "mean_cartan", lambda: np.einsum("...ij,...ijk->...k", self.ginv, self.cartan)
         )
 
-    # -- Liouville measure ------------------------------------------------
     @property
     def p(self) -> np.ndarray:
         """Hilbert form components p_i = dF/dy^i (0-homogeneous)."""
@@ -221,118 +188,6 @@ class GridStructure:
     def volume(self) -> float:
         return self._get("volume", lambda: self.integrate(np.ones_like(self.F2)))
 
-    # -- spray stack -------------------------------------------------------
-    @property
-    def A(self) -> np.ndarray:
-        """A_h = y^j d(dF^2/dy^h)/dx^j - dF^2/dx^h at y = e(theta)."""
-        def build():
-            dF2 = self.fiber(self.F2, 2)  # (..., h)
-            out = np.empty_like(dF2)
-            e = self.e[None, None, :, :]
-            for h in range(2):
-                acc = -self.dx(self.F2, h)
-                for j in range(2):
-                    acc = acc + e[..., j] * self.dx(dF2[..., h], j)
-                out[..., h] = acc
-            return out
-        return self._get("A", build)
-
-    @property
-    def G(self) -> np.ndarray:
-        """Spray G^i (values at y = e(theta); 2-homogeneous)."""
-        return self._get(
-            "G", lambda: 0.25 * np.einsum("...ih,...h->...i", self.ginv, self.A)
-        )
-
-    @property
-    def Gj(self) -> np.ndarray:
-        """Nonlinear connection G^i_j."""
-        return self._get("Gj", lambda: self.fiber(self.G, 2))
-
-    @property
-    def Gjk(self) -> np.ndarray:
-        """Berwald coefficients G^i_jk."""
-        return self._get("Gjk", lambda: self.fiber(self.Gj, 1))
-
-    @property
-    def Gjkm(self) -> np.ndarray:
-        """d G^i_jk / dy^m."""
-        return self._get("Gjkm", lambda: self.fiber(self.Gjk, 0))
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """Formal Christoffel symbols of g taken in x."""
-        return self._get("gamma", lambda: algebra.christoffel(self.ginv, self.base(self.g)))
-
-    @property
-    def Gamma(self) -> np.ndarray:
-        """Horizontal Cartan coefficients Gamma^i_jk."""
-        return self._get(
-            "Gamma",
-            lambda: algebra.cartan_hcoeffs(self.gamma, self.cartan, self.ginv, self.Gj),
-        )
-
-    # -- curvature ----------------------------------------------------------
-    @property
-    def hh(self) -> np.ndarray:
-        """Berwald hh-curvature H^i_jkl field."""
-        return self._get(
-            "hh",
-            lambda: algebra.hh_curvature(self.Gj, self.Gjk, self.base(self.Gjk), self.Gjkm),
-        )
-
-    @property
-    def ricci(self) -> np.ndarray:
-        """Akbar-Zadeh Ricci H_ij = g^{ks} H_ikjs."""
-        return self._get("ricci", lambda: algebra.ricci(self.g, self.ginv, self.hh))
-
-    @property
-    def Q(self) -> np.ndarray:
-        """H_rs y^r y^s at y = e(theta) (2-homogeneous scalar)."""
-        def build():
-            e = self.e[None, None, :, :]
-            return np.einsum("...ij,...i,...j->...", self.ricci, e, e)
-        return self._get("Q", build)
-
-    @property
-    def huu(self) -> np.ndarray:
-        """Ricci-directional curvature H(u,u) = H^k_jkl u^j u^l."""
-        return self._get(
-            "huu", lambda: algebra.huu(self.hh, self.e[None, None, :, :]) / self.F2
-        )
-
-    @property
-    def ricci_scalar(self) -> np.ndarray:
-        """Trace R^k_k of the spray curvature (independent light route)."""
-        def build():
-            G, Gj = self.G, self.Gj
-            return algebra.spray_trace(
-                self.e[None, None, :, :], G, self.base(G), Gj, self.base(Gj), self.Gjk
-            )
-        return self._get("ricci_scalar", build)
-
-    def _tilde_from_q(self, q: np.ndarray) -> np.ndarray:
-        """1/2 d^2(r^2 q)/dy^i dy^j at r = 1 from exact interpolant derivatives.
-
-        Htilde = q I + q'/2 (e ox eperp + eperp ox e) + q''/2 (eperp ox eperp).
-        """
-        q1 = theta_derivative(q, 1)
-        q2 = theta_derivative(q, 2)
-        e = self.e[None, None, :, :]
-        ep = self.eperp[None, None, :, :]
-        sym = np.einsum("...i,...j->...ij", e, ep)
-        sym = sym + np.swapaxes(sym, -1, -2)
-        return (
-            q[..., None, None] * np.eye(2)
-            + 0.5 * q1[..., None, None] * sym
-            + 0.5 * q2[..., None, None] * np.einsum("...i,...j->...ij", ep, ep)
-        )
-
-    @property
-    def ricci_tilde(self) -> np.ndarray:
-        """Htilde_ij = 1/2 d^2(H_rs y^r y^s)/dy^i dy^j via the interpolant."""
-        return self._get("ricci_tilde", lambda: self._tilde_from_q(self.Q))
-
     @property
     def ricci_tilde_light(self) -> np.ndarray:
         """Htilde_ij through the spray-curvature trace.
@@ -341,9 +196,7 @@ class GridStructure:
         the test suite against the H_ij contraction); avoids assembling the
         full 4-index field, so it is the route the flow diagnostics take.
         """
-        return self._get(
-            "ricci_tilde_light", lambda: self._tilde_from_q(self.ricci_scalar)
-        )
+        return self._get("ricci_tilde_light", lambda: self.tilde(self.ricci_scalar))
 
     @property
     def huu_light(self) -> np.ndarray:
@@ -351,29 +204,11 @@ class GridStructure:
         return self._get("huu_light", lambda: self.ricci_scalar / self.F2)
 
     @property
-    def h_tilde(self) -> np.ndarray:
-        """Second-type scalar curvature Htilde = g^{ij} Htilde_ij."""
-        return self._get(
-            "h_tilde",
-            lambda: np.einsum("...ij,...ij->...", self.ginv, self.ricci_tilde),
-        )
-
-    @property
     def h_tilde_light(self) -> np.ndarray:
         return self._get(
             "h_tilde_light",
             lambda: np.einsum("...ij,...ij->...", self.ginv, self.ricci_tilde_light),
         )
-
-    def h_hat(self, c_fun=None) -> np.ndarray:
-        """Hhat = Htilde - c(x) H(u,u); the functional integrand."""
-        if c_fun is None:
-            return self.h_tilde
-        if callable(c_fun):
-            cx = np.asarray(c_fun(self.x_nodes), dtype=float)[..., None]
-        else:
-            cx = float(c_fun)
-        return self.h_tilde - cx * self.huu
 
     @property
     def gem_field(self) -> np.ndarray:
@@ -388,7 +223,6 @@ class GridStructure:
             raise ValueError(f"gem stride must be at least 1, got {stride}")
         return float(np.max(self.gem_field[::stride, ::stride, :]))
 
-    # -- covariant derivative helpers ---------------------------------------
     @property
     def nabla0_mean_cartan(self) -> np.ndarray:
         """(nabla_0 C^j) with C^j = g^{jk} C_k, at y = e(theta)."""
@@ -434,5 +268,5 @@ def cov_deriv_0(field: TensorField, gs: GridStructure) -> TensorField:
     """nabla_0 T = y^m nabla_m T evaluated at y = e(theta)."""
     nab = horizontal_cov_deriv(field, gs)
     idx = "ijklm"[: field.rank]
-    data = np.einsum(f"abc{idx}t,abct->abc{idx}", nab.data, gs.e[None, None, :, :])
+    data = np.einsum(f"abc{idx}t,abct->abc{idx}", nab.data, gs.y)
     return TensorField(data, field.valence, homogeneity=field.homogeneity + 1)

@@ -268,8 +268,7 @@ def state_validity(state: FlowState, tol: float = 1e-6) -> dict:
     guard positivity of g and the fiber identities of the sampled tensors.
     """
     gs = state.grid_structure()
-    e = gs.e[None, None, :, :]
-    cy = np.einsum("...ijk,...k->...ij", gs.cartan, e)
+    cy = np.einsum("...ijk,...k->...ij", gs.cartan, gs.y)
     scale = 1.0 + float(np.max(np.abs(gs.g)))
     checks = {
         "g positive definite": (gs.min_eig_g > 0.0, gs.min_eig_g),

@@ -27,7 +27,7 @@ silent garbage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Sequence
@@ -193,6 +193,9 @@ class Jet:
     c: np.ndarray
     bvalid: int
     fvalid: int
+    # a jet is a value (its c is not written once it is shared), so every
+    # quotient by it reuses one reciprocal: the three entries of g^-1 do
+    _recip: "Jet | None" = field(default=None, init=False, repr=False, compare=False)
 
     # keep numpy from absorbing us into object arrays; reflected ops run here
     __array_ufunc__ = None
@@ -376,12 +379,14 @@ class Jet:
         return self.bvalid + self.fvalid
 
     def _reciprocal(self):
-        v = self.value()
-        m = self._series_orders()
-        series = np.empty((m + 1,) + np.shape(v))
-        for j in range(m + 1):
-            series[j] = (-1.0) ** j * v ** (-(j + 1))
-        return self.compose(series)
+        if self._recip is None:
+            v = self.value()
+            m = self._series_orders()
+            series = np.empty((m + 1,) + np.shape(v))
+            for j in range(m + 1):
+                series[j] = (-1.0) ** j * v ** (-(j + 1))
+            self._recip = self.compose(series)
+        return self._recip
 
 
 def _pow_series(v: np.ndarray, p: float, m: int) -> np.ndarray:

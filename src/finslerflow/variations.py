@@ -59,9 +59,8 @@ class VariationField:
     def check_membership(self, gs: GridStructure, tol: float = 1e-6) -> bool:
         """Residuals for y^k d_k h_ij = 0 and total symmetry of d_k h_ij."""
         dh = gs.fiber(self.data, 0)  # (..., i, j, k)
-        e = gs.e[None, None, :, :]
         scale = 1.0 + float(np.max(np.abs(self.data)))
-        zh = float(np.max(np.abs(np.einsum("...ijk,...k->...ij", dh, e)))) / scale
+        zh = float(np.max(np.abs(np.einsum("...ijk,...k->...ij", dh, gs.y)))) / scale
         sym = (
             np.abs(dh - np.swapaxes(dh, -1, -2))
             + np.abs(dh - np.swapaxes(dh, -2, -3))
@@ -100,8 +99,7 @@ def lie_derivative_metric(X, gs: GridStructure) -> VariationField:
     Xf = TensorField(Xv, (1, 0), homogeneity=0)
     nabX = horizontal_cov_deriv(Xf, gs).data  # (..., k, i) = nabla_i X^k
     low = np.einsum("...jk,...ki->...ij", gs.g, nabX)  # nabla_i X_j
-    e = gs.e[None, None, :, :]
-    nab0X = np.einsum("...ki,...i->...k", nabX, e)  # nabla_0 X^k at y = e
+    nab0X = np.einsum("...ki,...i->...k", nabX, gs.y)  # nabla_0 X^k at y = e
     h = low + np.swapaxes(low, -1, -2) + 2.0 * np.einsum(
         "...k,...kij->...ij", nab0X, gs.cartan
     )
@@ -127,9 +125,7 @@ def divergence_delta(h: VariationField | TensorField, gs: GridStructure) -> Tens
     Cdot = cov_deriv_0(TensorField(gs.cartan, (0, 3), -1), gs).data
     t3 = np.einsum("...kij,...ij->...k", Cdot, hup)
     # C_kij nabla_0 h^{ij}: metric compatibility lets nabla_0 act on h then raise
-    nab0h = np.einsum(
-        "...ikm,...m->...ik", nabh, gs.e[None, None, :, :]
-    )
+    nab0h = np.einsum("...ikm,...m->...ik", nabh, gs.y)
     nab0hup = np.einsum("...ia,...jb,...ab->...ij", gi, gi, nab0h)
     t4 = np.einsum("...kij,...ij->...k", gs.cartan, nab0hup)
     out = -(div - t2 + t3 + t4)
@@ -296,7 +292,7 @@ def variation_residuals(
     rep.values["membership_symmetry"] = hv.symmetry_residual
 
     gi = gs0.ginv
-    e = gs0.e[None, None, :, :]
+    e = gs0.y
     tr_h = np.einsum("...ij,...ij->...", gi, h)
     huu_dir = np.einsum("...ij,...i,...j->...", h, e, e) / gs0.F2  # h(u,u)
 

@@ -156,19 +156,44 @@ def test_flow_negative_fiber_cut_exit_2(capsys, tmp_path):
     assert rec["code"] == 2 and "fiber_cut" in rec["error"]
 
 
-@pytest.mark.parametrize("stride", ["0", "-8"])
-def test_flow_gem_stride_below_one_exit_2(capsys, tmp_path, stride):
-    # a negative stride would sample other nodes, and 0 is no slice step
+@pytest.mark.parametrize("flag, value", [
+    ("--gem-stride", "0"),
+    ("--gem-stride", "-8"),
+    ("--checkpoint-every", "-1"),
+    ("--checkpoint-every", "0"),
+    ("--steps", "0"),
+    ("--dt", "-1"),
+    ("--safety", "0"),
+])
+def test_flow_bad_option_exit_2_writes_nothing(capsys, tmp_path, flag, value):
+    # a negative gem stride would sample other nodes, and 0 is no slice step;
+    # Python's % takes a checkpoint period of -1 like 1, and 0 turned periodic
+    # checkpoints off; the others failed only after manifest.json was written
     out_dir = tmp_path / "run"
-    code, _, err = run_cli(
-        capsys, "flow", "--metric", "conformal-torus", "--grid", "8,8,16",
-        "--steps", "1", "--gem-stride", stride, "--out", str(out_dir),
-    )
-    assert code == 2
+    argv = ["flow", "--metric", "conformal-torus", "--grid", "8,8,16", "--steps", "1",
+            "--out", str(out_dir), flag, value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
     (rec,) = json_lines(err)
-    assert rec["code"] == 2 and "--gem-stride" in rec["error"]
-    assert not (out_dir / "diagnostics.csv").exists()
-    assert not (out_dir / "manifest.json").exists()
+    assert rec["code"] == 2 and rec["error"].startswith(flag + " ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("metric, x", [
+    ("funk-disk", "1.5,0"), ("funk-disk", "0.6,-0.8"), ("sphere-patch", "5,0"),
+])
+def test_report_x_outside_chart_exit_2(capsys, tmp_path, metric, x):
+    # funk-disk at (1.5, 0) exited 1 as a singular metric; sphere-patch (|x| < 3)
+    # at (5, 0) exited 0; the disk boundary |x| = 1 is outside too
+    out_dir = tmp_path / "rep"
+    code, out, err = run_cli(
+        capsys, "report", "--metric", metric, "--x", x, "--theta", "0.7",
+        "--out", str(out_dir),
+    )
+    assert code == 2 and out == ""
+    (rec,) = json_lines(err)
+    assert rec["code"] == 2 and "--x" in rec["error"]
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("n_theta", ["0", "-3"])

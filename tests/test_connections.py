@@ -107,8 +107,8 @@ def test_cartan_connection_properties(randers):
 
     xs, ys = sample_points(randers.structure, 8)
     pa = PointAssembly(randers.structure, xs, ys, forder=4, border=1)
-    Gam = pa.cartan_hcoeff_values()
-    Gj = pa.Gj_values()
+    Gam = pa.Gamma
+    Gj = pa.values(pa.Gj)
     # y^m Gamma^i_mk = G^i_k
     defl = np.einsum("...imk,...m->...ik", Gam, ys) - Gj
     assert np.max(np.abs(defl)) <= 1e-10
@@ -118,9 +118,9 @@ def test_cartan_connection_properties(randers):
     for i in range(n):
         for j in range(n):
             for m in range(n):
-                dg[..., i, j, m] = pa.g_jets[i][j].base_deriv(m).value()
-    C = pa.cartan_values()
-    g = pa.g()
+                dg[..., i, j, m] = pa.g[i][j].base_deriv(m).value()
+    C = pa.values(pa.cartan)
+    g = pa.values(pa.g)
     low = np.einsum("...rik,...rj->...ijk", Gam, g)  # Gamma_{j,ik}
     resid = (
         dg

@@ -8,7 +8,7 @@ from finslerflow.connections import PointAssembly
 from finslerflow.curvature import curvature_bundle
 from finslerflow.jets import Jet
 from finslerflow.oracles import funk_pde_residual, funk_ricci_projective
-from finslerflow.structures import sample_points
+from finslerflow.structures import Chart, FinslerStructure, SingularMetricError, sample_points
 
 X0 = np.array([0.9, 2.1])
 Y0 = np.array([1.3, 0.2])
@@ -131,41 +131,39 @@ def test_fd_base_mode_close_to_analytic(conformal):
 
 def test_spray_trace_matches_jet_loop(randers, funk):
     """R^k_k from component values equals the term-by-term jet sum."""
-    from finslerflow.curvature import _ricci_shen
-
     for e in (randers, funk):
         xs, ys = sample_points(e.structure, 16)
         pa = PointAssembly(e.structure, xs, ys, forder=4, border=2)
         n = pa.n
-        G, Gj, Gjk = pa.G_jets, pa.Gj_jets, pa.Gjk_jets
+        G, Gj, Gjk = pa.G, pa.Gj, pa.Gjk
         ref = np.zeros(pa.F2.shape)
         for i in range(n):
             t = 2.0 * G[i].base_deriv(i)
             for j in range(n):
                 t = (
                     t
-                    - pa.ys[j] * Gj[i][i].base_deriv(j)
+                    - pa.y[j] * Gj[i][i].base_deriv(j)
                     + 2.0 * G[j] * Gjk[i][j][i]
                     - Gj[i][j] * Gj[j][i]
                 )
             ref = ref + t.value()
-        got = _ricci_shen(pa)
+        got = pa.ricci_scalar
         # only the summation order differs
         assert np.max(np.abs(got - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref)))
         # the values helper reads each component as its own jet value
-        dGj = pa.values(Gj, base_deriv=True)
+        dGj = pa.base_values(Gj)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     assert np.array_equal(dGj[..., i, j, k], Gj[i][j].base_deriv(k).value())
-                    assert np.array_equal(pa.Gjk_values()[..., i, j, k], Gjk[i][j][k].value())
+                    assert np.array_equal(pa.values(Gjk)[..., i, j, k], Gjk[i][j][k].value())
 
 
 def _hh_jet_loop(pa):
     """Reference H^i_jkl: the delta_k G^i_jl loop over jets, term by term."""
     n = pa.n
-    Gj = pa.Gj_jets
-    Gjl = pa.Gjk_jets
+    Gj = pa.Gj
+    Gjl = pa.Gjk
 
     def delta(obj, k):
         out = obj.base_deriv(k)
@@ -190,7 +188,7 @@ def _hh_jet_loop(pa):
 def _ricci_tilde_jet_loop(pa, H):
     """Reference Htilde_ij = 1/2 d^2 Q / dy^i dy^j with Q = g^{ks} y_r H^r_kjs y^j."""
     n = pa.n
-    g, gi, ys = pa.g_jets, pa.ginv_jets, pa.ys
+    g, gi, ys = pa.g, pa.ginv, pa.y
     ylow = []
     for r in range(n):
         acc = g[r][0] * ys[0]
@@ -216,3 +214,30 @@ def test_bundle_matches_jet_loops(randers, funk):
         cb = curvature_bundle(e.structure, xs, ys)
         assert np.max(np.abs(cb.H - pa.values(H))) <= 1e-13
         assert np.max(np.abs(cb.ricci_tilde - _ricci_tilde_jet_loop(pa, H))) <= 1e-13
+
+
+def test_singular_metric_reports_min_eigenvalue(funk):
+    """The metric check raises on the smallest eigenvalue of g, not on det g."""
+    from finslerflow.structures import _metric_from_jets, f2_jets
+
+    x = np.array([[0.2, 0.1], [1.5, 0.0]])  # the second point is off the disk
+    y = np.array([np.cos(0.7), np.sin(0.7)])
+    g = _metric_from_jets(f2_jets(funk.structure, x[1], y, forder=2), 2)
+    lam = np.linalg.eigvalsh(g)[0]
+    assert lam < 0 and abs(np.linalg.det(g) - lam) > 1.0
+    with pytest.raises(SingularMetricError) as info:
+        curvature_bundle(funk.structure, x, y)
+    assert info.value.min_eig == pytest.approx(lam, rel=1e-12)
+    assert info.value.where == (1,)
+
+
+def test_negative_definite_metric_raises():
+    """g = -I has det g = 1 > 0, so a determinant check let it through."""
+    neg = FinslerStructure(
+        2, "neg", Chart("plane", bound=1.0), lambda xs, ys: -(ys[0] * ys[0] + ys[1] * ys[1])
+    )
+    x, y = np.array([0.1, 0.2]), np.array([1.0, 0.0])
+    for fn in (ff.ricci_directional, curvature_bundle, ff.spray):
+        with pytest.raises(SingularMetricError) as info:
+            fn(neg, x, y)
+        assert info.value.min_eig == -1.0 and info.value.where is None

@@ -215,3 +215,21 @@ def test_global_inner_examples(gs_randers):
 def test_functional_report_average(gs_conformal):
     rep = functional_report(gs_conformal)
     assert rep.average == pytest.approx(rep.I / rep.volume, rel=1e-15)
+
+
+def test_grid_singular_metric_names_node(grids_small):
+    """An indefinite g on some nodes raises with the smallest eigenvalue and its node."""
+    from finslerflow.algebra import min_eig
+    from finslerflow.structures import SingularMetricError
+
+    bg, fg = grids_small
+    x = bg.nodes()
+    amp = 0.05 + 0.05 * (1.0 + np.cos(x[..., 0]))  # convex only where amp < 1/15
+    logF = amp[..., None] * np.cos(4.0 * fg.thetas)
+    gs = GridStructure(logF, bg, fg)
+    lam = min_eig(gs.g)
+    assert lam.min() < 0 < lam.max()
+    with pytest.raises(SingularMetricError) as info:
+        gs.ginv
+    assert info.value.min_eig == lam.min() == gs.min_eig_g
+    assert info.value.where == np.unravel_index(np.argmin(lam), lam.shape)

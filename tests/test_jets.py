@@ -267,12 +267,17 @@ def test_bundle_assembly_stores_valid_boxes(monkeypatch):
     fs = get_entry("funk-disk").structure
     curvature.curvature_bundle(fs, np.array([0.2, 0.1]), np.array([np.cos(0.7), np.sin(0.7)]))
     (pa,) = made
-    jets = [pa.F2, *pa.ys]
+    # the cache also holds value arrays (gamma, the scalars): check every jet in it
+    jets = [pa.F2, *pa.y]
     for value in pa._cache.values():
-        jets.extend(np.asarray(value, dtype=object).ravel())
+        value = np.asarray(value)
+        if value.dtype == object:
+            jets.extend(value.ravel())
+        else:
+            assert value.dtype == float
     assert len(jets) > 20 and all(isinstance(j, Jet) for j in jets)
     for j in jets:
         assert (j.spec.border, j.spec.forder) == (j.bvalid, j.fvalid)
         assert j.c.shape[0] == j.spec.ncoeff
     # the spray stack sits below the input box: Gjk is valid to (1, 3)
-    assert {(j.bvalid, j.fvalid) for j in pa.Gjk_jets.ravel()} == {(1, 3)}
+    assert {(j.bvalid, j.fvalid) for j in pa.Gjk.ravel()} == {(1, 3)}

@@ -1,0 +1,52 @@
+"""The benchmark's span tracer still finds the package hooks it patches.
+
+``perfbench/tracing.py`` wraps ``PointAssembly.__init__``/``_get``, the
+``GridStructure`` cache builders and a few module functions by name.  A
+renamed hook would leave its metric at zero without an error, so this runs
+the tracer on small calls in a child process (the patches are global) and
+asserts that the spans were recorded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CHILD = """
+import json
+import numpy as np
+from perfbench import tracing
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from finslerflow.curvature import curvature_bundle
+from finslerflow.flow import diagnostics, encode_state
+from finslerflow.grids import build_grid
+from finslerflow.zoo import get_entry
+
+tracer.op = 0
+curvature_bundle(get_entry("funk-disk").structure, np.array([0.2, 0.1]), np.array([0.6, 0.8]))
+bg, fg = build_grid(2, 16, 2 * np.pi, 16)
+diagnostics(encode_state(get_entry("conformal-torus").structure, bg, fg), gem_stride=4)
+print(json.dumps(tracing.per_layer_metrics(tracer, 1)))
+"""
+
+
+def test_tracer_hooks_record_spans():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    for name in (
+        "connections.point_assembly_s", "fields.g_s", "fields.G_s", "fields.ricci_scalar_s",
+        "fields.gem_field_s", "fields.theta_derivative_s", "fields.fiber_partials_s",
+        "grids.base_derivative_s", "structures.f2_jets_s", "curvature.curvature_bundle_s",
+    ):
+        assert metrics[name] > 0.0, name
+    assert metrics["fields.grid_structures"] == 1
