@@ -13,14 +13,14 @@ from .structures import (
     Chart,
     SingularMetricError,
     DomainError,
-    fundamental_tensor,
-    cartan_tensor,
-    mean_cartan,
     validate_structure,
     fiber_jet,
     JetRequest,
 )
 from .connections import (
+    fundamental_tensor,
+    cartan_tensor,
+    mean_cartan,
     spray,
     nonlinear_connection,
     berwald_coeffs,

@@ -31,16 +31,18 @@ def _at(T, *idx):
 class ConnectionStack:
     """Lazily cached connection and curvature quantities of F^2.
 
-    A subclass supplies the engine: ``F2``, ``x``, ``y`` (the fiber point,
-    as the engine's variables), an empty ``_cache`` dict and
+    A subclass supplies the engine: ``F2``, ``F``, ``x``, ``y`` (the fiber
+    point, as the engine's variables), an empty ``_cache`` dict and
 
     * ``fiber(T, d)``: d/dy^m of a d-homogeneous T on a new last axis m;
     * ``base(T)``: d/dx^k on a new last axis k; ``dx(T, k)``: one of them;
+    * ``dtheta(T)``: d/dtheta of T along y = |y| e(theta), as floats;
     * ``values(T)``, ``base_values(T)``: T and ``base(T)`` as float arrays;
     * ``tilde(q)``: 1/2 d^2 q / dy^i dy^j of a 2-homogeneous scalar, as floats.
 
-    Jets keep every quantity up to ``ricci`` (and ``Q``) as jets; ``gamma``,
-    ``Gamma`` and the scalars are float arrays on either engine.
+    Jets keep every quantity up to ``ricci`` (and ``Q``), and ``p``, as
+    jets; ``gamma``, ``Gamma``, ``mean_cartan``, ``rho`` and the scalars are
+    float arrays on either engine.
     """
 
     def _get(self, key, builder):
@@ -55,14 +57,28 @@ class ConnectionStack:
         return self._get("g", lambda: 0.5 * self.fiber(self.fiber(self.F2, 2), 1))
 
     @property
+    def min_eig_g(self) -> float:
+        """Smallest eigenvalue of g over all points; NaN if g is NaN anywhere."""
+        return self._get("min_eig_g", lambda: float(np.min(min_eig(self.values(self.g)))))
+
+    def require_spd(self) -> None:
+        """Raise SingularMetricError unless g is positive definite at every point.
+
+        The error names the worst point, a NaN one first; it is located only
+        on failure.
+        """
+        if self.min_eig_g > 0.0:
+            return
+        lam = min_eig(self.values(self.g))
+        k = np.unravel_index(np.argmin(np.where(np.isnan(lam), -np.inf, lam)), lam.shape)
+        raise SingularMetricError(float(lam[k]), where=tuple(map(int, k)) or None)
+
+    @property
     def ginv(self):
         """g^ij by adjugate over determinant; raises unless g is positive definite."""
         def build():
+            self.require_spd()
             g = self.g
-            lam = min_eig(self.values(g))
-            if np.any(lam <= 0.0):
-                k = np.unravel_index(np.nanargmin(lam), lam.shape)
-                raise SingularMetricError(float(lam[k]), where=tuple(map(int, k)) or None)
             a, b, d = _at(g, 0, 0), _at(g, 0, 1), _at(g, 1, 1)
             det = a * d - b * b
             off = -b / det
@@ -78,6 +94,29 @@ class ConnectionStack:
     def cartan(self):
         """C_ijk = 1/2 d g_ij / dy^k."""
         return self._get("cartan", lambda: 0.5 * self.fiber(self.g, 0))
+
+    @property
+    def mean_cartan(self):
+        """C_k = g^{ij} C_ijk, a (-1)-homogeneous covector."""
+        return self._get("mean_cartan", lambda: np.einsum(
+            "...ij,...ijk->...k", self.values(self.ginv), self.values(self.cartan)))
+
+    # -- Liouville measure -----------------------------------------------------
+    @property
+    def p(self):
+        """Hilbert form p_i = dF/dy^i (0-homogeneous)."""
+        return self._get("p", lambda: self.fiber(self.F, 1))
+
+    @property
+    def rho(self):
+        """Liouville density rho = p_1 dp_2/dtheta - p_2 dp_1/dtheta.
+
+        On the grid, integral f rho dx dtheta = integral_SM f eta.
+        """
+        def build():
+            p, pt = self.values(self.p), self.dtheta(self.p)
+            return p[..., 0] * pt[..., 1] - p[..., 1] * pt[..., 0]
+        return self._get("rho", build)
 
     # -- spray stack ---------------------------------------------------------
     @property
@@ -177,6 +216,11 @@ class ConnectionStack:
         """Ricci-directional curvature H(u,u) = H^k_jkl y^j y^l / F^2."""
         return self._get("huu", lambda: huu(
             self.values(self.hh), self.values(self.y)) / self.values(self.F2))
+
+    @property
+    def huu_light(self):
+        """H(u,u) through the spray-curvature trace, R^k_k / F^2."""
+        return self._get("huu_light", lambda: self.ricci_scalar / self.values(self.F2))
 
     @property
     def h_tilde(self):

@@ -1,4 +1,9 @@
-"""Geodesic spray, nonlinear connection, Berwald/Cartan coefficients, geodesics."""
+"""Pointwise metric and connection quantities on jets, and geodesics.
+
+The fundamental tensor, Cartan tensor and mean Cartan torsion, the geodesic
+spray, nonlinear connection and Berwald/Cartan coefficients are each read
+off one :class:`PointAssembly`.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .jets import Jet
+from .jets import Jet, sqrt_
 from .structures import FinslerStructure, f2_jets
 
 __all__ = [
     "PointAssembly",
+    "fundamental_tensor",
+    "cartan_tensor",
+    "mean_cartan",
     "spray",
     "nonlinear_connection",
     "berwald_coeffs",
@@ -71,6 +79,18 @@ class PointAssembly(algebra.ConnectionStack):
     def dx(self, jet: Jet, k: int) -> Jet:
         return jet.base_deriv(k)
 
+    @property
+    def F(self) -> Jet:
+        """F = sqrt(F^2) as a jet."""
+        return self._get("F", lambda: sqrt_(self.F2))
+
+    def dtheta(self, jets) -> np.ndarray:
+        """d/dtheta of each component jet along y = |y| e(theta): y-derivatives on (-y^1, y^0)."""
+        y0, y1 = self.y[0].value(), self.y[1].value()
+        return self._collect(
+            jets, lambda j: j.fiber_deriv(0).value() * -y1 + j.fiber_deriv(1).value() * y0
+        )
+
     def _collect(self, jets, read) -> np.ndarray:
         comps = np.asarray(jets, dtype=object)
         out = np.empty(self.F2.shape + comps.shape)
@@ -97,6 +117,25 @@ class PointAssembly(algebra.ConnectionStack):
 # ---------------------------------------------------------------------------
 # public pointwise operations
 # ---------------------------------------------------------------------------
+
+def fundamental_tensor(fs: FinslerStructure, x, y) -> np.ndarray:
+    """g_ij = 1/2 d^2 F^2 / dy^i dy^j, shape (..., 2, 2); raises unless positive definite."""
+    pa = PointAssembly(fs, x, y, forder=2, border=0)
+    pa.require_spd()
+    return pa.values(pa.g)
+
+
+def cartan_tensor(fs: FinslerStructure, x, y) -> np.ndarray:
+    """C_ijk = 1/4 d^3 F^2 / dy^i dy^j dy^k, totally symmetric, (..., 2, 2, 2)."""
+    pa = PointAssembly(fs, x, y, forder=3, border=0)
+    pa.require_spd()
+    return pa.values(pa.cartan)
+
+
+def mean_cartan(fs: FinslerStructure, x, y) -> np.ndarray:
+    """C_k = g^{ij} C_ijk, a (-1)-homogeneous covector."""
+    return PointAssembly(fs, x, y, forder=3, border=0).mean_cartan
+
 
 def spray(fs: FinslerStructure, x, y, base_mode: str = "auto") -> np.ndarray:
     """Geodesic spray coefficients G^i(x, y), 2-homogeneous in y."""

@@ -84,7 +84,7 @@ def ricci_directional(fs: FinslerStructure, x, y, base_mode: str = "auto",
     """
     pa = PointAssembly(fs, x, y, forder=4, border=2, base_mode=base_mode,
                        fd_step=fd_step)
-    return pa.ricci_scalar / pa.values(pa.F2)
+    return pa.huu_light
 
 
 def hat_scalars(fs: FinslerStructure, x, y, c_fun=None, base_mode: str = "auto"):

@@ -124,6 +124,9 @@ class GridStructure(algebra.ConnectionStack):
     def fiber(self, w: np.ndarray, d: int) -> np.ndarray:
         return fiber_partials(w, d, self.thetas)
 
+    def dtheta(self, w: np.ndarray) -> np.ndarray:
+        return theta_derivative(w, 1)
+
     def values(self, field: np.ndarray) -> np.ndarray:
         return field
 
@@ -153,31 +156,6 @@ class GridStructure(algebra.ConnectionStack):
         return h1 * h2 * self.fgrid.spacing
 
     # -- grid-only quantities ------------------------------------------------
-    @property
-    def min_eig_g(self) -> float:
-        return self._get("min_eig_g", lambda: float(np.min(algebra.min_eig(self.g))))
-
-    @property
-    def mean_cartan(self) -> np.ndarray:
-        """C_k = g^{ij} C_ijk."""
-        return self._get(
-            "mean_cartan", lambda: np.einsum("...ij,...ijk->...k", self.ginv, self.cartan)
-        )
-
-    @property
-    def p(self) -> np.ndarray:
-        """Hilbert form components p_i = dF/dy^i (0-homogeneous)."""
-        return self._get("p", lambda: self.fiber(self.F, 1))
-
-    @property
-    def rho(self) -> np.ndarray:
-        """Liouville density: integral f rho dx dtheta = integral_SM f eta."""
-        def build():
-            p = self.p
-            pt = theta_derivative(p, 1)
-            return p[..., 0] * pt[..., 1] - p[..., 1] * pt[..., 0]
-        return self._get("rho", build)
-
     def integrate(self, field: np.ndarray) -> float:
         """Integral over SM against the Liouville measure (deterministic order)."""
         if field.shape != self.F2.shape:
@@ -197,11 +175,6 @@ class GridStructure(algebra.ConnectionStack):
         full 4-index field, so it is the route the flow diagnostics take.
         """
         return self._get("ricci_tilde_light", lambda: self.tilde(self.ricci_scalar))
-
-    @property
-    def huu_light(self) -> np.ndarray:
-        """H(u,u) through the spray-curvature trace (flow inner loop)."""
-        return self._get("huu_light", lambda: self.ricci_scalar / self.F2)
 
     @property
     def h_tilde_light(self) -> np.ndarray:

@@ -201,9 +201,7 @@ def step(state: FlowState, dt: float, max_retries: int = 5) -> FlowState:
             cand = replace(
                 state, logF=logF1, t=state.t + dt, step_index=state.step_index + 1
             )
-            gs = cand.grid_structure()
-            if gs.min_eig_g <= 0.0 or not np.isfinite(gs.min_eig_g):
-                raise SingularMetricError(gs.min_eig_g)
+            cand.grid_structure().require_spd()
             return cand
         except (SingularMetricError, GridError):
             dt *= 0.5

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridStructure, TensorField, theta_derivative
+from .connections import PointAssembly
+from .fields import GridStructure, TensorField
 from .grids import GridError
-from .structures import FinslerStructure, _check_spd, _metric_from_jets, f2_jets
+from .structures import FinslerStructure
 
 __all__ = [
     "liouville_density",
@@ -30,28 +31,17 @@ __all__ = [
 ]
 
 
-def liouville_density(fs: FinslerStructure, x, theta, base_mode: str = "auto") -> np.ndarray:
+def liouville_density(fs: FinslerStructure, x, theta) -> np.ndarray:
     """Pointwise Liouville density rho(x, theta) (analytic structures).
 
     ``x`` has shape (..., 2) and ``theta`` broadcasts against its leading
-    shape.  Positive wherever g is positive definite.
+    shape.  Raises unless g is positive definite, where rho is positive.
     """
-    from .jets import sqrt_
-
     theta = np.asarray(theta, dtype=float)
     y = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    F2 = f2_jets(fs, x, y, forder=2, base_mode=base_mode)
-    _check_spd(_metric_from_jets(F2, 2))
-    F = sqrt_(F2)
-    p = [F.fiber_deriv(i) for i in range(2)]
-    # dp_i/dtheta = d2F/dy^i dy^j * e'(theta)^j
-    ep = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-    dp = [
-        p[i].fiber_deriv(0).value() * ep[..., 0]
-        + p[i].fiber_deriv(1).value() * ep[..., 1]
-        for i in range(2)
-    ]
-    return p[0].value() * dp[1] - p[1].value() * dp[0]
+    pa = PointAssembly(fs, x, y, forder=2, border=0)
+    pa.require_spd()
+    return pa.rho
 
 
 def sm_integrate(field: np.ndarray, gs: GridStructure) -> float:

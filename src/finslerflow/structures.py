@@ -1,11 +1,14 @@
-"""Finsler structures, the fundamental tensor, Cartan torsion, validity checks.
+"""Finsler structures, their jets of F^2, and sampled validity checks.
 
 A :class:`FinslerStructure` wraps an evaluator of F^2(x, y) written in the
 generic scalar algebra of :mod:`finslerflow.jets` (so the same closure
-evaluates on floats, arrays, and jets).  All pointwise tensors here are
-obtained from exact fiber jets; base derivatives are exact when the
-structure supports base jets (closed-form x-dependence) and 4th-order
-finite differences otherwise.
+evaluates on floats, arrays, and jets).  :func:`f2_jets` gives its joint
+Taylor jets: fiber derivatives are exact, and base derivatives are exact
+when the structure supports base jets (closed-form x-dependence) and
+4th-order finite differences otherwise.  The pointwise tensors built from
+them (g, Cartan, mean Cartan, spray, ...) are read off
+:class:`finslerflow.connections.PointAssembly`; the Liouville density is
+:func:`finslerflow.measure.liouville_density`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grids import FD4_FIRST, FD4_SECOND
-from .jets import Jet, jet_spec, jet_variables
+from .jets import Jet, jet_spec, jet_variables, sqrt_
 
 __all__ = [
     "Chart",
@@ -26,9 +29,6 @@ __all__ = [
     "JetRequest",
     "fiber_jet",
     "f2_jets",
-    "fundamental_tensor",
-    "cartan_tensor",
-    "mean_cartan",
     "validate_structure",
     "ValidityReport",
     "halton",
@@ -140,21 +140,13 @@ def f2_jets(
     _check_slit(y)
     if base_mode == "auto":
         base_mode = "analytic" if fs.supports_base_jets else "fd"
-    if border == 0:
-        xs, ys = jet_variables(x, y, 0, forder)
-        return fs.f2(xs, ys)
-    if base_mode == "analytic":
-        if not fs.supports_base_jets:
-            raise DomainError(f"{fs.name} does not provide analytic base partials")
-        xs, ys = jet_variables(x, y, border, forder)
-        return fs.f2(xs, ys)
-    if base_mode != "fd":
+    if base_mode not in ("analytic", "fd"):
         raise ValueError(f"unknown base mode {base_mode!r}")
-    return _f2_jets_fd(fs, x, y, forder, border, fd_step or 1e-3)
-
-
-def _fiber_only(fs, x, y, forder) -> Jet:
-    xs, ys = jet_variables(x, y, 0, forder)
+    if border > 0 and base_mode == "fd":
+        return _f2_jets_fd(fs, x, y, forder, border, fd_step or 1e-3)
+    if border > 0 and not fs.supports_base_jets:
+        raise DomainError(f"{fs.name} does not provide analytic base partials")
+    xs, ys = jet_variables(x, y, border, forder)
     return fs.f2(xs, ys)
 
 
@@ -167,7 +159,7 @@ def _f2_jets_fd(fs, x, y, forder, border, h) -> Jet:
     fspec = jet_spec(0, 0, n, forder)
 
     def station(dx):
-        return _fiber_only(fs, x + np.asarray(dx) * h, y, forder).c
+        return fs.f2(*jet_variables(x + np.asarray(dx) * h, y, 0, forder)).c
 
     center = station((0.0,) * n)
     zero_b = (0,) * n
@@ -242,61 +234,8 @@ def fiber_jet(fs: FinslerStructure, x, y, req: JetRequest, base_mode: str = "aut
     kb, kf = sum(req.base), sum(req.fiber)
     j = f2_jets(fs, x, y, forder=kf, border=kb, base_mode=base_mode)
     if not req.of_f2:
-        from .jets import sqrt_
-
         j = sqrt_(j)
     return j.deriv(bmon=req.base if kb else (), fmon=req.fiber)
-
-
-# ---------------------------------------------------------------------------
-# fundamental and Cartan tensors
-# ---------------------------------------------------------------------------
-
-def _metric_from_jets(F2: Jet, n: int) -> np.ndarray:
-    g = np.empty(F2.shape + (n, n))
-    for idx in np.ndindex(n, n):
-        g[(...,) + idx] = 0.5 * F2.deriv(fmon=tuple(idx.count(t) for t in range(n)))
-    return g
-
-
-def _cartan_from_jets(F2: Jet, n: int) -> np.ndarray:
-    C = np.empty(F2.shape + (n, n, n))
-    for idx in np.ndindex(n, n, n):
-        C[(...,) + idx] = 0.25 * F2.deriv(fmon=tuple(idx.count(t) for t in range(n)))
-    return C
-
-
-def _check_spd(g: np.ndarray) -> np.ndarray:
-    """Eigenvalues of g; raises at the node of the smallest one unless g is SPD."""
-    eig = np.linalg.eigvalsh(g)
-    mn = float(np.min(eig))
-    if mn <= 0.0:
-        low = eig[..., 0]
-        raise SingularMetricError(mn, where=np.unravel_index(np.argmin(low), low.shape))
-    return eig
-
-
-def fundamental_tensor(fs: FinslerStructure, x, y, base_mode: str = "auto") -> np.ndarray:
-    """g_ij = 1/2 d^2 F^2 / dy^i dy^j, shape (..., n, n); raises if not SPD."""
-    F2 = f2_jets(fs, x, y, forder=2, base_mode=base_mode)
-    g = _metric_from_jets(F2, fs.n)
-    _check_spd(g)
-    return g
-
-
-def cartan_tensor(fs: FinslerStructure, x, y, base_mode: str = "auto") -> np.ndarray:
-    """C_ijk = 1/4 d^3 F^2 / dy^i dy^j dy^k, totally symmetric, (..., n, n, n)."""
-    n = fs.n
-    F2 = f2_jets(fs, x, y, forder=3, base_mode=base_mode)
-    _check_spd(_metric_from_jets(F2, n))
-    return _cartan_from_jets(F2, n)
-
-
-def mean_cartan(fs: FinslerStructure, x, y, base_mode: str = "auto") -> np.ndarray:
-    """C_k = g^{ij} C_ijk, a (-1)-homogeneous covector."""
-    g = fundamental_tensor(fs, x, y, base_mode)
-    C = cartan_tensor(fs, x, y, base_mode)
-    return np.einsum("...ij,...ijk->...k", np.linalg.inv(g), C)
 
 
 # ---------------------------------------------------------------------------
@@ -370,27 +309,27 @@ def validate_structure(
     """
     if sample_count < 10:
         raise ValueError("need at least 10 samples")
-    n = fs.n
+    from .connections import PointAssembly  # connections imports this module
+
     x, y = sample_points(fs, sample_count)
-    F2 = f2_jets(fs, x, y, forder=3)
-    F2v = F2.value()
-    Fv = np.sqrt(F2v)
+    pa = PointAssembly(fs, x, y, forder=3, border=0)
+    F2v = pa.values(pa.F2)
 
     # (a) Euler / 1-homogeneity of F: y^i d_i F^2 = 2 F^2
+    dF2 = pa.values(pa.fiber(pa.F2, 2))
     euler = np.zeros_like(F2v)
-    for i in range(n):
-        euler += y[:, i] * F2.deriv(fmon=tuple(1 if t == i else 0 for t in range(n)))
+    for i in range(fs.n):
+        euler += y[:, i] * dF2[..., i]
     res_a = float(np.max(np.abs(euler - 2.0 * F2v) / (2.0 * F2v)))
 
-    g = _metric_from_jets(F2, n)
-    C = _cartan_from_jets(F2, n)
+    g = pa.values(pa.g)
+    C = pa.values(pa.cartan)
 
     # (b) zero-homogeneity of g: y^k d g_ij/dy^k = 2 C_ijk y^k
     res_b = float(np.max(np.abs(2.0 * np.einsum("...ijk,...k->...ij", C, y))))
 
     # (c) positivity margin of g
-    eig = np.linalg.eigvalsh(g)
-    min_eig = float(np.min(eig))
+    min_eig = pa.min_eig_g
 
     # (d) total symmetry of d_k g_ij (integrability)
     sym = np.abs(C - np.swapaxes(C, -1, -2)) + np.abs(C - np.swapaxes(C, -2, -3))

@@ -278,10 +278,10 @@ def reference_check(entry: ZooEntry, tol: float = 1e-6, samples: int = 12) -> di
 
     Returns worst residual per quantity (reported, nothing raised).
     """
-    from .connections import cartan_hcoeffs, spray
+    from .connections import cartan_hcoeffs, cartan_tensor, fundamental_tensor, spray
     from .curvature import gem_residual, hat_scalars, ricci_directional
     from .measure import liouville_density
-    from .structures import cartan_tensor, fundamental_tensor, sample_points
+    from .structures import sample_points
     from .oracles import riemannian_christoffel
 
     fs = entry.structure

@@ -218,11 +218,13 @@ def test_bundle_matches_jet_loops(randers, funk):
 
 def test_singular_metric_reports_min_eigenvalue(funk):
     """The metric check raises on the smallest eigenvalue of g, not on det g."""
-    from finslerflow.structures import _metric_from_jets, f2_jets
+    from finslerflow.structures import f2_jets
 
     x = np.array([[0.2, 0.1], [1.5, 0.0]])  # the second point is off the disk
     y = np.array([np.cos(0.7), np.sin(0.7)])
-    g = _metric_from_jets(f2_jets(funk.structure, x[1], y, forder=2), 2)
+    F2 = f2_jets(funk.structure, x[1], y, forder=2)
+    g = 0.5 * np.array([[F2.deriv(fmon=(2, 0)), F2.deriv(fmon=(1, 1))],
+                        [F2.deriv(fmon=(1, 1)), F2.deriv(fmon=(0, 2))]])
     lam = np.linalg.eigvalsh(g)[0]
     assert lam < 0 and abs(np.linalg.det(g) - lam) > 1.0
     with pytest.raises(SingularMetricError) as info:
@@ -241,3 +243,23 @@ def test_negative_definite_metric_raises():
         with pytest.raises(SingularMetricError) as info:
             fn(neg, x, y)
         assert info.value.min_eig == -1.0 and info.value.where is None
+
+
+def test_nan_metric_raises():
+    """NaN fails the positivity test; the error names a NaN point before a negative one."""
+    def nan_structure(w):
+        return FinslerStructure(
+            2, "nan", Chart("plane", bound=1.0), lambda xs, ys: w * (ys[0] * ys[0] + ys[1] * ys[1])
+        )
+
+    x, y = np.array([0.1, 0.2]), np.array([1.0, 0.0])
+    fs = nan_structure(np.nan)
+    for fn in (ff.fundamental_tensor, ff.cartan_tensor, ff.mean_cartan, ff.ricci_directional,
+               curvature_bundle, ff.spray, lambda fs, x, y: ff.liouville_density(fs, x, 0.0)):
+        with pytest.raises(SingularMetricError) as info:
+            fn(fs, x, y)
+        assert np.isnan(info.value.min_eig) and info.value.where is None
+    xs = np.zeros((3, 2))
+    with pytest.raises(SingularMetricError) as info:
+        ff.ricci_directional(nan_structure(np.array([1.0, np.nan, -1.0])), xs, y)
+    assert np.isnan(info.value.min_eig) and info.value.where == (1,)

@@ -6,7 +6,7 @@ import pytest
 import finslerflow as ff
 from finslerflow.fields import GridStructure, TensorField, horizontal_cov_deriv
 from finslerflow.grids import GridError
-from finslerflow.jets import cos_, sin_
+from finslerflow.jets import cos_, sin_, sqrt_
 from finslerflow.measure import (
     functional_report,
     global_inner,
@@ -14,6 +14,8 @@ from finslerflow.measure import (
     sm_integrate,
 )
 from finslerflow.oracles import gauss_curvature_spectral
+from finslerflow.structures import f2_jets, sample_points
+from finslerflow.zoo import ZOO_NAMES
 from finslerflow.variations import family_variation, randers_family
 
 TWO_PI = 2.0 * np.pi
@@ -60,6 +62,27 @@ def test_quartic_density_vs_refined_quadrature(quartic):
         rhof = liouville_density(quartic.structure, np.broadcast_to(x0, (Nf, 2)), thf)
         totalf = np.sum(rhof) * (TWO_PI / Nf)
         assert total == pytest.approx(totalf, abs=1e-6)
+
+
+def _liouville_jet_loop(fs, x, theta):
+    """rho = p_1 dp_2/dtheta - p_2 dp_1/dtheta from p_i = dF/dy^i, term by term (reference)."""
+    y = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    F = sqrt_(f2_jets(fs, x, y, forder=2))
+    p = [F.fiber_deriv(i) for i in range(2)]
+    ep = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+    dp = [
+        p[i].fiber_deriv(0).value() * ep[..., 0] + p[i].fiber_deriv(1).value() * ep[..., 1]
+        for i in range(2)
+    ]
+    return p[0].value() * dp[1] - p[1].value() * dp[0]
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_liouville_density_matches_jet_loop(name):
+    fs = ff.get_entry(name).structure
+    x, y = sample_points(fs, 24)
+    th = np.arctan2(y[:, 1], y[:, 0])
+    assert np.array_equal(liouville_density(fs, x, th), _liouville_jet_loop(fs, x, th))
 
 
 def test_density_positive_on_validated(gs_randers):

@@ -12,6 +12,7 @@ from finslerflow.structures import (
     fiber_jet,
     sample_points,
 )
+from finslerflow.zoo import ZOO_NAMES
 
 X0 = np.array([0.7, 1.9])
 
@@ -83,6 +84,36 @@ def test_mean_cartan(randers, conformal):
     np.testing.assert_allclose(
         ff.mean_cartan(randers.structure, X0, 2 * y), Ck / 2.0, atol=1e-12
     )
+
+
+def _metric_from_jets(F2, n):
+    """The term-by-term g_ij = 1/2 d^2 F^2/dy^i dy^j read off one jet (reference)."""
+    g = np.empty(F2.shape + (n, n))
+    for idx in np.ndindex(n, n):
+        g[(...,) + idx] = 0.5 * F2.deriv(fmon=tuple(idx.count(t) for t in range(n)))
+    return g
+
+
+def _cartan_from_jets(F2, n):
+    """The term-by-term C_ijk = 1/4 d^3 F^2/dy^i dy^j dy^k (reference)."""
+    C = np.empty(F2.shape + (n, n, n))
+    for idx in np.ndindex(n, n, n):
+        C[(...,) + idx] = 0.25 * F2.deriv(fmon=tuple(idx.count(t) for t in range(n)))
+    return C
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_pointwise_tensors_match_jet_loops(name):
+    """The connection stack's g and C equal the coefficient reads; mean Cartan to roundoff."""
+    fs = ff.get_entry(name).structure
+    x, y = sample_points(fs, 24)
+    g = _metric_from_jets(f2_jets(fs, x, y, forder=2), 2)
+    F2 = f2_jets(fs, x, y, forder=3)
+    C = _cartan_from_jets(F2, 2)
+    assert np.array_equal(ff.fundamental_tensor(fs, x, y), g)
+    assert np.array_equal(ff.cartan_tensor(fs, x, y), C)
+    Ck = np.einsum("...ij,...ijk->...k", np.linalg.inv(g), C)
+    np.testing.assert_allclose(ff.mean_cartan(fs, x, y), Ck, rtol=0, atol=1e-15)
 
 
 def test_metric_zero_homogeneity(randers):

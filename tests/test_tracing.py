@@ -4,7 +4,10 @@
 ``GridStructure`` cache builders and a few module functions by name.  A
 renamed hook would leave its metric at zero without an error, so this runs
 the tracer on small calls in a child process (the patches are global) and
-asserts that the spans were recorded.
+asserts that the spans were recorded.  The grid properties that the
+connection stack defines for both engines (``mean_cartan``, ``p``, ``rho``,
+``huu_light``, ``min_eig_g``) and the pointwise tensors that read a
+``PointAssembly`` are covered too.
 """
 
 import json
@@ -22,16 +25,26 @@ from perfbench import tracing
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
+from finslerflow.connections import fundamental_tensor
 from finslerflow.curvature import curvature_bundle
 from finslerflow.flow import diagnostics, encode_state
 from finslerflow.grids import build_grid
+from finslerflow.measure import liouville_density
 from finslerflow.zoo import get_entry
 
 tracer.op = 0
 curvature_bundle(get_entry("funk-disk").structure, np.array([0.2, 0.1]), np.array([0.6, 0.8]))
 bg, fg = build_grid(2, 16, 2 * np.pi, 16)
-diagnostics(encode_state(get_entry("conformal-torus").structure, bg, fg), gem_stride=4)
-print(json.dumps(tracing.per_layer_metrics(tracer, 1)))
+state = encode_state(get_entry("conformal-torus").structure, bg, fg)
+diagnostics(state, gem_stride=4)
+state.grid_structure().mean_cartan
+randers = get_entry("randers-torus").structure
+tracer.op = 1
+fundamental_tensor(randers, np.array([0.3, 1.1]), np.array([0.6, 0.8]))
+tracer.op = 2
+liouville_density(randers, np.array([0.3, 1.1]), 0.7)
+assembly_ops = sorted({s[5] for s in tracer.spans if s[0] == "connections.point_assembly"})
+print(json.dumps({"metrics": tracing.per_layer_metrics(tracer, 1), "assembly_ops": assembly_ops}))
 """
 
 
@@ -42,11 +55,16 @@ def test_tracer_hooks_record_spans():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    metrics = out["metrics"]
     for name in (
         "connections.point_assembly_s", "fields.g_s", "fields.G_s", "fields.ricci_scalar_s",
         "fields.gem_field_s", "fields.theta_derivative_s", "fields.fiber_partials_s",
         "grids.base_derivative_s", "structures.f2_jets_s", "curvature.curvature_bundle_s",
+        "fields.mean_cartan_s", "fields.p_s", "fields.rho_s", "fields.huu_light_s",
+        "fields.min_eig_g_s",
     ):
         assert metrics[name] > 0.0, name
     assert metrics["fields.grid_structures"] == 1
+    # op 1 is fundamental_tensor, op 2 liouville_density
+    assert out["assembly_ops"] == [0, 1, 2]
