@@ -13,7 +13,7 @@ import numpy as np
 
 from . import algebra
 from .jets import Jet, sqrt_
-from .structures import FinslerStructure, f2_jets
+from .structures import DomainError, FinslerStructure, f2_jets
 
 __all__ = [
     "PointAssembly",
@@ -178,8 +178,8 @@ def geodesic_integrate(
 ) -> GeodesicPath:
     """Integrate x'' + 2G(x, x') = 0 with classical RK4 at fixed step.
 
-    If the path leaves a non-periodic chart the result is truncated and
-    flagged (``complete = False``).
+    If the path, or one of its RK stages, leaves a non-periodic chart the
+    result is truncated and flagged (``complete = False``).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -196,9 +196,13 @@ def geodesic_integrate(
     complete = True
     for k in range(steps):
         k1x, k1v = v, acc(x, v)
-        k2x, k2v = v + 0.5 * dt * k1v, acc(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
-        k3x, k3v = v + 0.5 * dt * k2v, acc(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
-        k4x, k4v = v + dt * k3v, acc(x + dt * k3x, v + dt * k3v)
+        try:  # k1 ran at x, so a DomainError here means a stage left the chart
+            k2x, k2v = v + 0.5 * dt * k1v, acc(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
+            k3x, k3v = v + 0.5 * dt * k2v, acc(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
+            k4x, k4v = v + dt * k3v, acc(x + dt * k3x, v + dt * k3v)
+        except DomainError:
+            complete = False
+            break
         x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         if not fs.chart.contains(x):

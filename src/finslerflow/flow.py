@@ -18,6 +18,7 @@ and Riemannian states and a documented band-limitation otherwise.  With
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "finslerflow-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class FlowError(RuntimeError):
@@ -192,7 +193,11 @@ def _advance(state: FlowState, dt: float) -> np.ndarray:
 
 
 def step(state: FlowState, dt: float, max_retries: int = 5) -> FlowState:
-    """One explicit step; on convexity loss the step is rejected and dt halved."""
+    """One explicit step; a candidate whose g is not positive definite, or whose
+    F^2 is not finite and positive, is rejected and dt halved.
+
+    After ``max_retries`` halvings the ``FlowError`` names the last rejection.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     for attempt in range(max_retries + 1):
@@ -203,11 +208,13 @@ def step(state: FlowState, dt: float, max_retries: int = 5) -> FlowState:
             )
             cand.grid_structure().require_spd()
             return cand
-        except (SingularMetricError, GridError):
+        except (SingularMetricError, GridError) as exc:
+            last = exc
             dt *= 0.5
     raise FlowError(
-        f"step rejected {max_retries + 1} times (convexity loss) at t={state.t:.6g}"
-    )
+        f"step rejected {max_retries + 1} times at t={state.t:.6g}; "
+        f"the last rejection: {type(last).__name__}: {last}"
+    ) from last
 
 
 @dataclass
@@ -405,6 +412,12 @@ def uniform_scaling_flow(
 # ---------------------------------------------------------------------------
 
 def write_checkpoint(path: str, state: FlowState) -> None:
+    """Write ``state`` as one JSON record, atomically (temporary file + rename).
+
+    Version 2 stores ``logF`` as the base64 of its float64 little-endian
+    bytes in C order (x1 outer, x2 middle, theta inner), so it reads back
+    exactly; version 1 stored the same values as a JSON list.
+    """
     record = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -422,8 +435,7 @@ def write_checkpoint(path: str, state: FlowState) -> None:
         "safety": state.safety,
         "fiber_cut": state.fiber_cut,
         "name": state.name,
-        # row-major: x1 outer, x2 middle, theta inner
-        "logF": state.logF.ravel(order="C").tolist(),
+        "logF": base64.b64encode(np.asarray(state.logF, dtype="<f8").tobytes()).decode("ascii"),
     }
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -433,18 +445,32 @@ def write_checkpoint(path: str, state: FlowState) -> None:
     os.replace(tmp, path)
 
 
+def _decode_logF(path: str, record: dict) -> np.ndarray:
+    """The flat logF of a version 1 (JSON list) or version 2 (base64) record."""
+    if record["version"] == 1:
+        return np.asarray(record["logF"], dtype=float)
+    try:
+        raw = base64.b64decode(record["logF"], validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise FlowError(f"{path}: logF is not valid base64 ({exc})") from exc
+    if len(raw) % 8:
+        raise FlowError(f"{path}: logF holds {len(raw)} bytes, not a whole number of float64")
+    return np.frombuffer(raw, dtype="<f8").astype(float)
+
+
 def read_checkpoint(path: str) -> FlowState:
+    """Read a version 1 or 2 checkpoint; a damaged logF raises ``FlowError``."""
     with open(path) as fh:
         record = json.load(fh)
     if record.get("format") != CHECKPOINT_FORMAT:
         raise FlowError(f"not a checkpoint file: {path}")
-    if record.get("version") != CHECKPOINT_VERSION:
-        raise FlowError(f"unsupported checkpoint version {record.get('version')}")
+    if record.get("version") not in (1, CHECKPOINT_VERSION):
+        raise FlowError(f"{path}: unsupported checkpoint version {record.get('version')}")
     g = record["grid"]
     bgrid = BaseGrid(g["n"], tuple(g["shape"]), tuple(g["lengths"]), (True,) * g["n"])
     fgrid = FiberGrid(g["n_theta"])
     shape = tuple(g["shape"]) + (g["n_theta"],)
-    logF = np.asarray(record["logF"], dtype=float)
+    logF = _decode_logF(path, record)
     if logF.shape != (math.prod(shape),):
         raise FlowError(
             f"{path}: logF holds {logF.size} values, the {shape} grid needs "

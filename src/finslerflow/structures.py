@@ -118,6 +118,16 @@ def _check_slit(y: np.ndarray):
         raise DomainError("slit tangent bundle only: y = 0 is excluded")
 
 
+def _check_chart(fs: FinslerStructure, x: np.ndarray):
+    inside = fs.chart.contains(x)
+    if not inside.all():
+        k = np.unravel_index(np.argmin(inside), inside.shape)
+        raise DomainError(
+            f"{fs.name}: x = {x[k].tolist()} lies outside the chart {fs.chart.describe()}"
+            + (f" (point {tuple(map(int, k))})" if k else "")
+        )
+
+
 def f2_jets(
     fs: FinslerStructure,
     x,
@@ -138,6 +148,7 @@ def f2_jets(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_slit(y)
+    _check_chart(fs, x)
     if base_mode == "auto":
         base_mode = "analytic" if fs.supports_base_jets else "fd"
     if base_mode not in ("analytic", "fd"):

@@ -92,6 +92,19 @@ def test_flow_csv_rows_and_checkpoint(capsys, tmp_path):
     assert "tolerances" in man and "versions" in man
 
 
+def test_flow_failure_names_its_cause(capsys, tmp_path):
+    out_dir = str(tmp_path / "run")
+    code, _, err = run_cli(
+        capsys, "flow", "--metric", "conformal-torus", "--grid", "16,16,32",
+        "--steps", "2", "--dt", "1e6", "--out", out_dir,
+    )
+    assert code == 1
+    rec = json.loads(err.strip())
+    assert rec["code"] == 1
+    assert "step 1: step rejected 6 times" in rec["error"]
+    assert "GridError: F^2 must be finite and positive" in rec["error"]
+
+
 def test_flow_determinism_byte_identical(capsys, tmp_path):
     outs = []
     for tag in ("a", "b"):

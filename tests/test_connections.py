@@ -173,6 +173,16 @@ def test_geodesic_chart_exit_flagged(sphere):
     assert np.all(np.linalg.norm(path.x, axis=-1) < 3.0)
 
 
+def test_geodesic_stage_off_chart_flagged(funk):
+    # the midpoint stages of the first step sit at |x| = 1.025, off the disk;
+    # the step itself would end inside it, because the path slows down
+    path = ff.geodesic_integrate(
+        funk.structure, np.array([0.9, 0.0]), np.array([1.0, 0.0]), T=1.0, dt=0.25
+    )
+    assert not path.complete
+    assert len(path.t) == 1
+
+
 def test_geodesic_dt_validation(euclidean):
     with pytest.raises(ValueError):
         ff.geodesic_integrate(euclidean.structure, X0, Y0, T=1.0, dt=0.0)

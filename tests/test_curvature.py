@@ -220,15 +220,17 @@ def test_singular_metric_reports_min_eigenvalue(funk):
     """The metric check raises on the smallest eigenvalue of g, not on det g."""
     from finslerflow.structures import f2_jets
 
-    x = np.array([[0.2, 0.1], [1.5, 0.0]])  # the second point is off the disk
+    # funk-disk's F^2 on a chart wide enough to hold (1.5, 0), where g is indefinite
+    wide = FinslerStructure(2, "funk-wide", Chart("plane", bound=2.0), funk.structure.f2)
+    x = np.array([[0.2, 0.1], [1.5, 0.0]])  # the second point is off the unit disk
     y = np.array([np.cos(0.7), np.sin(0.7)])
-    F2 = f2_jets(funk.structure, x[1], y, forder=2)
+    F2 = f2_jets(wide, x[1], y, forder=2)
     g = 0.5 * np.array([[F2.deriv(fmon=(2, 0)), F2.deriv(fmon=(1, 1))],
                         [F2.deriv(fmon=(1, 1)), F2.deriv(fmon=(0, 2))]])
     lam = np.linalg.eigvalsh(g)[0]
     assert lam < 0 and abs(np.linalg.det(g) - lam) > 1.0
     with pytest.raises(SingularMetricError) as info:
-        curvature_bundle(funk.structure, x, y)
+        curvature_bundle(wide, x, y)
     assert info.value.min_eig == pytest.approx(lam, rel=1e-12)
     assert info.value.where == (1,)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import finslerflow as ff
+from finslerflow import algebra
 from finslerflow.fields import GridStructure, TensorField, horizontal_cov_deriv
 from finslerflow.grids import GridError
 from finslerflow.jets import cos_, sin_, sqrt_
@@ -155,6 +156,31 @@ def _hh_einsum_chain(gs):
 
 def test_hh_matches_einsum_chain(gs_randers):
     assert np.max(np.abs(gs_randers.hh - _hh_einsum_chain(gs_randers))) <= 1e-13
+
+
+def _gem_gap_einsum(rt, g, ginv):
+    """Reference GEM gap: the einsum form that ``algebra.gem_gap`` writes out by component."""
+    ht = np.einsum("...ij,...ij->...", ginv, rt)
+    gap = rt - 0.5 * ht[..., None, None] * g
+    mixed = np.einsum("...ia,...aj->...ij", ginv, gap)
+    return np.max(np.abs(mixed), axis=(-1, -2))
+
+
+def test_gem_gap_matches_einsum(gs_conformal, gs_randers, funk, sphere):
+    for gs in (gs_conformal, gs_randers):
+        ref = _gem_gap_einsum(gs.ricci_tilde_light, gs.g, gs.ginv)
+        assert np.array_equal(gs.gem_field, ref)
+    for e in (funk, sphere):
+        xs, ys = sample_points(e.structure, 24)
+        cb = ff.curvature_bundle(e.structure, xs, ys)
+        ref = _gem_gap_einsum(cb.ricci_tilde, cb.g, cb.ginv)
+        assert np.array_equal(algebra.gem_gap(cb.ricci_tilde, cb.g, cb.ginv), ref)
+        # the pointwise residual: the sup over 16 fiber angles at the first point
+        th = np.arange(16) * (TWO_PI / 16)
+        cb = ff.curvature_bundle(e.structure, np.broadcast_to(xs[0], (16, 2)),
+                                 np.stack([np.cos(th), np.sin(th)], axis=-1))
+        ref = np.max(_gem_gap_einsum(cb.ricci_tilde, cb.g, cb.ginv))
+        assert ff.gem_residual(e.structure, xs[0], n_theta=16) == ref
 
 
 def test_cov_deriv_valence_1_3(gs_randers, randers):

@@ -1,5 +1,6 @@
 """Flow engine: encoding, stepping, diagnostics, checkpoints."""
 
+import base64
 import json
 from pathlib import Path
 
@@ -192,6 +193,20 @@ def test_step_rejection_on_convexity_loss():
     assert gs.min_eig_g > 0
 
 
+def test_step_failure_names_its_cause(conformal):
+    # dt = 1e6, halved five times, still makes F^2 overflow to inf or underflow to 0
+    st = make_state(conformal, N=16, NT=32)
+    with pytest.raises(FlowError, match=r"GridError: F\^2 must be finite") as info:
+        step(st, dt=1e6)
+    assert isinstance(info.value.__cause__, GridError)
+    assert "convexity" not in str(info.value)
+    # an indefinite g is named with its eigenvalue and node
+    st = make_state(ff.get_entry("randers-torus", b=0.7), N=16, NT=32)
+    with pytest.raises(FlowError, match=r"SingularMetricError: .*min eigenvalue .* at \(") as info:
+        step(st, dt=0.1, max_retries=0)
+    assert isinstance(info.value.__cause__, ff.SingularMetricError)
+
+
 def test_diagnostics_row_and_csv(conformal):
     st = make_state(conformal, N=16, NT=32)
     d = diagnostics(st)
@@ -271,15 +286,74 @@ def test_checkpoint_keeps_safety(tmp_path, conformal):
 
 @pytest.mark.parametrize("damage", ["truncated", "nan"])
 def test_checkpoint_logF_checked(tmp_path, conformal, damage):
+    """Version 1 records, with logF as a JSON list, still read and are checked."""
+    st = make_state(conformal, N=16, NT=32)
     p = tmp_path / "chk.json"
-    write_checkpoint(str(p), make_state(conformal, N=16, NT=32))
+    write_checkpoint(str(p), st)
     rec = json.loads(p.read_text())
+    rec["version"] = 1
+    rec["logF"] = st.logF.ravel().tolist()
+    p.write_text(json.dumps(rec))
+    assert np.array_equal(read_checkpoint(str(p)).logF, st.logF)
     if damage == "truncated":
         rec["logF"] = rec["logF"][:-7]
     else:
         rec["logF"][100] = float("nan")
     p.write_text(json.dumps(rec))
     with pytest.raises(FlowError, match="chk.json"):
+        read_checkpoint(str(p))
+
+
+def test_checkpoint_v2_exact(tmp_path):
+    """Version 2 stores logF as base64 float64 bytes: every bit reads back."""
+    bg, fg = ff.build_grid(2, 8, TWO_PI, 16)
+    logF = np.random.default_rng(3).normal(size=(8, 8, 16))
+    logF[0, 0, :4] = [-0.0, 5e-324, 1e300, np.nextafter(1.0, 2.0)]
+    st = ff.FlowState(bgrid=bg, fgrid=fg, logF=logF)
+    p = tmp_path / "chk.json"
+    write_checkpoint(str(p), st)
+    rec = json.loads(p.read_text())
+    assert rec["version"] == 2 and isinstance(rec["logF"], str)
+    back = read_checkpoint(str(p)).logF
+    assert np.array_equal(back, logF) and back.tobytes() == logF.tobytes()
+    back[0, 0, 0] = 1.0  # a writable array of its own
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("truncated", "holds 8185 values"),
+    ("partial", "not a whole number of float64"),
+    ("nan", "non-finite"),
+    ("base64", "not valid base64"),
+])
+def test_checkpoint_v2_logF_checked(tmp_path, conformal, damage, message):
+    st = make_state(conformal, N=16, NT=32)
+    p = tmp_path / "chk.json"
+    write_checkpoint(str(p), st)
+    rec = json.loads(p.read_text())
+    raw = base64.b64decode(rec["logF"])
+    if damage == "truncated":
+        raw = raw[:-7 * 8]
+    elif damage == "partial":
+        raw = raw[:-3]
+    elif damage == "nan":
+        flat = st.logF.ravel().copy()
+        flat[100] = np.nan
+        raw = flat.astype("<f8").tobytes()
+    rec["logF"] = base64.b64encode(raw).decode("ascii")
+    if damage == "base64":
+        rec["logF"] = rec["logF"][:40] + "!" + rec["logF"][41:]
+    p.write_text(json.dumps(rec))
+    with pytest.raises(FlowError, match=f"chk.json: .*{message}"):
+        read_checkpoint(str(p))
+
+
+def test_checkpoint_unknown_version_rejected(tmp_path, conformal):
+    p = tmp_path / "chk.json"
+    write_checkpoint(str(p), make_state(conformal, N=16, NT=32))
+    rec = json.loads(p.read_text())
+    rec["version"] = 3
+    p.write_text(json.dumps(rec))
+    with pytest.raises(FlowError, match="chk.json: unsupported checkpoint version 3"):
         read_checkpoint(str(p))
 
 

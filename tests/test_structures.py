@@ -193,6 +193,27 @@ def test_fiber_jet_bounds_and_slit(euclidean):
         fiber_jet(euclidean.structure, X0, np.zeros(2), JetRequest((0, 0), (1, 0)))
 
 
+@pytest.mark.parametrize("name, x", [
+    ("funk-disk", [1.5, 0.0]), ("funk-disk", [0.6, -0.8]), ("sphere-patch", [5.0, 0.0]),
+], ids=["funk-disk-1.5,0", "funk-disk-0.6,-0.8", "sphere-patch-5,0"])
+def test_pointwise_api_rejects_x_off_chart(name, x):
+    """An x outside the chart raises DomainError, not a numpy warning (the
+    suite turns warnings into errors) and not a singular-metric error."""
+    fs = ff.get_entry(name).structure
+    x = np.array(x)
+    y = np.array([np.cos(1.3), np.sin(1.3)])
+    for fn in (ff.ricci_directional, ff.fundamental_tensor, ff.cartan_tensor,
+               ff.mean_cartan, ff.spray, ff.curvature_bundle):
+        with pytest.raises(DomainError, match="outside the chart"):
+            fn(fs, x, y)
+    with pytest.raises(DomainError, match="outside the chart"):
+        ff.liouville_density(fs, x, 0.0)
+    # a batch names the first point off the chart
+    xs = np.stack([[0.2, 0.1], x, x])
+    with pytest.raises(DomainError, match=r"point \(1,\)"):
+        ff.ricci_directional(fs, xs, y)
+
+
 def test_fiber_jet_deterministic(randers):
     req = JetRequest((1, 0), (2, 1), of_f2=True)
     y = np.array([0.9, 0.7])
