@@ -32,29 +32,19 @@ __all__ = [
 class PointAssembly(algebra.ConnectionStack):
     """The connection stack on exact jets of F^2 at a batch of points.
 
-    Fiber derivatives are exact Taylor coefficients; base derivatives come
-    from the jet provider (analytic base jets or 4th-order FD stations).
+    Fiber and base derivatives are exact Taylor coefficients of
+    :func:`~finslerflow.structures.f2_jets`.
     Component jets are numpy object arrays with the component axes last, the
     layout of the grid fields, so :class:`~finslerflow.algebra.ConnectionStack`
     and the :mod:`finslerflow.algebra` formulas take either.
     """
 
-    def __init__(
-        self,
-        fs: FinslerStructure,
-        x,
-        y,
-        forder: int,
-        border: int = 1,
-        base_mode: str = "auto",
-        fd_step: float | None = None,
-    ):
+    def __init__(self, fs: FinslerStructure, x, y, forder: int, border: int = 1):
         self.fs = fs
         self.n = fs.n
         self.x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        self.F2 = f2_jets(fs, x, y, forder=forder, border=border,
-                          base_mode=base_mode, fd_step=fd_step)
+        self.F2 = f2_jets(fs, x, y, forder=forder, border=border)
         self.y = np.array(
             [Jet.variable(self.F2.spec, "y", a, y[..., a]) for a in range(self.n)], dtype=object
         )
@@ -137,27 +127,27 @@ def mean_cartan(fs: FinslerStructure, x, y) -> np.ndarray:
     return PointAssembly(fs, x, y, forder=3, border=0).mean_cartan
 
 
-def spray(fs: FinslerStructure, x, y, base_mode: str = "auto") -> np.ndarray:
+def spray(fs: FinslerStructure, x, y) -> np.ndarray:
     """Geodesic spray coefficients G^i(x, y), 2-homogeneous in y."""
-    pa = PointAssembly(fs, x, y, forder=2, border=1, base_mode=base_mode)
+    pa = PointAssembly(fs, x, y, forder=2, border=1)
     return pa.values(pa.G)
 
 
-def nonlinear_connection(fs: FinslerStructure, x, y, base_mode: str = "auto") -> np.ndarray:
+def nonlinear_connection(fs: FinslerStructure, x, y) -> np.ndarray:
     """G^i_j = dG^i/dy^j, 1-homogeneous."""
-    pa = PointAssembly(fs, x, y, forder=3, border=1, base_mode=base_mode)
+    pa = PointAssembly(fs, x, y, forder=3, border=1)
     return pa.values(pa.Gj)
 
 
-def berwald_coeffs(fs: FinslerStructure, x, y, base_mode: str = "auto") -> np.ndarray:
+def berwald_coeffs(fs: FinslerStructure, x, y) -> np.ndarray:
     """Berwald connection coefficients G^i_jk = d^2 G^i / dy^j dy^k."""
-    pa = PointAssembly(fs, x, y, forder=4, border=1, base_mode=base_mode)
+    pa = PointAssembly(fs, x, y, forder=4, border=1)
     return pa.values(pa.Gjk)
 
 
-def cartan_hcoeffs(fs: FinslerStructure, x, y, base_mode: str = "auto") -> np.ndarray:
+def cartan_hcoeffs(fs: FinslerStructure, x, y) -> np.ndarray:
     """Horizontal Cartan connection coefficients Gamma^i_jk."""
-    pa = PointAssembly(fs, x, y, forder=3, border=1, base_mode=base_mode)
+    pa = PointAssembly(fs, x, y, forder=3, border=1)
     return pa.Gamma
 
 
@@ -173,9 +163,7 @@ class GeodesicPath:
         return not self.complete
 
 
-def geodesic_integrate(
-    fs: FinslerStructure, x0, y0, T: float, dt: float, base_mode: str = "auto"
-) -> GeodesicPath:
+def geodesic_integrate(fs: FinslerStructure, x0, y0, T: float, dt: float) -> GeodesicPath:
     """Integrate x'' + 2G(x, x') = 0 with classical RK4 at fixed step.
 
     If the path, or one of its RK stages, leaves a non-periodic chart the
@@ -187,7 +175,7 @@ def geodesic_integrate(
     v = np.asarray(y0, dtype=float).copy()
 
     def acc(xc, vc):
-        return -2.0 * spray(fs, xc, vc, base_mode=base_mode)
+        return -2.0 * spray(fs, xc, vc)
 
     steps = int(round(T / dt))
     ts = [0.0]

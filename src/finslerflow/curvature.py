@@ -47,58 +47,49 @@ class CurvatureBundle:
     h_hat: np.ndarray      # Htilde - c(x) H(u,u)
 
 
-def curvature_bundle(
-    fs: FinslerStructure,
-    x,
-    y,
-    c_fun=None,
-    base_mode: str = "auto",
-    fd_step: float | None = None,
-) -> CurvatureBundle:
+def curvature_bundle(fs: FinslerStructure, x, y, c_fun=None) -> CurvatureBundle:
     """Full curvature stack at (x, y); x, y shaped (..., n)."""
-    pa = PointAssembly(fs, x, y, forder=7, border=2, base_mode=base_mode, fd_step=fd_step)
+    pa = PointAssembly(fs, x, y, forder=7, border=2)
     return CurvatureBundle(
         g=pa.values(pa.g), ginv=pa.values(pa.ginv), H=pa.values(pa.hh), ricci=pa.values(pa.ricci),
         ricci_tilde=pa.ricci_tilde, huu=pa.huu, h_tilde=pa.h_tilde, h_hat=pa.h_hat(c_fun),
     )
 
 
-def hh_curvature(fs: FinslerStructure, x, y, base_mode: str = "auto") -> np.ndarray:
+def hh_curvature(fs: FinslerStructure, x, y) -> np.ndarray:
     """Berwald hh-curvature H^i_jkl, shape (..., n, n, n, n)."""
-    pa = PointAssembly(fs, x, y, forder=5, border=2, base_mode=base_mode)
+    pa = PointAssembly(fs, x, y, forder=5, border=2)
     return pa.values(pa.hh)
 
 
-def ricci_tensors(fs: FinslerStructure, x, y, base_mode: str = "auto"):
+def ricci_tensors(fs: FinslerStructure, x, y):
     """(H_ij, Htilde_ij) at (x, y)."""
-    cb = curvature_bundle(fs, x, y, base_mode=base_mode)
+    cb = curvature_bundle(fs, x, y)
     return cb.ricci, cb.ricci_tilde
 
 
-def ricci_directional(fs: FinslerStructure, x, y, base_mode: str = "auto",
-                      fd_step: float | None = None) -> np.ndarray:
+def ricci_directional(fs: FinslerStructure, x, y, base_mode: str = "analytic") -> np.ndarray:
     """H(u,u) with u = y/F: a 0-homogeneous scalar.
 
     Computed through the spray-curvature trace, which needs only 4th-order
     fiber jets; agrees with the full ``g^{ik} H_ijkl u^j u^l`` contraction.
+    Base derivatives are always analytic jets: ``base_mode`` is kept only for
+    callers that still pass it, and any value but ``"analytic"`` raises
+    ``ValueError``.
     """
-    pa = PointAssembly(fs, x, y, forder=4, border=2, base_mode=base_mode,
-                       fd_step=fd_step)
+    if base_mode != "analytic":
+        raise ValueError(f"unknown base mode {base_mode!r}: pointwise jets are analytic only")
+    pa = PointAssembly(fs, x, y, forder=4, border=2)
     return pa.huu_light
 
 
-def hat_scalars(fs: FinslerStructure, x, y, c_fun=None, base_mode: str = "auto"):
+def hat_scalars(fs: FinslerStructure, x, y, c_fun=None):
     """(Htilde, Hhat) with Hhat = Htilde - c(x) H(u,u); c defaults to 0."""
-    cb = curvature_bundle(fs, x, y, c_fun=c_fun, base_mode=base_mode)
+    cb = curvature_bundle(fs, x, y, c_fun=c_fun)
     return cb.h_tilde, cb.h_hat
 
 
-def gem_residual(
-    fs: FinslerStructure,
-    x,
-    n_theta: int = 64,
-    base_mode: str = "auto",
-) -> float:
+def gem_residual(fs: FinslerStructure, x, n_theta: int = 64) -> float:
     """Sup over the fiber of the metric-normalized gap Htilde_ij - (Htilde/n) g_ij.
 
     Zero (to numerical precision) exactly on generalized Einstein metrics.
@@ -109,5 +100,5 @@ def gem_residual(
     x = np.asarray(x, dtype=float)
     th = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     y = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    cb = curvature_bundle(fs, np.broadcast_to(x, (n_theta, 2)), y, base_mode=base_mode)
+    cb = curvature_bundle(fs, np.broadcast_to(x, (n_theta, 2)), y)
     return float(np.max(algebra.gem_gap(cb.ricci_tilde, cb.g, cb.ginv)))

@@ -67,9 +67,8 @@ class TensorField:
 class GridStructure(algebra.ConnectionStack):
     """The connection stack on float fields at y = e(theta), plus grid-only quantities.
 
-    ``source`` is either an analytic :class:`FinslerStructure` (periodic
-    chart) or a log F array of shape ``bgrid.shape + (n_theta,)`` describing
-    a grid-mode structure (flow state).
+    ``source`` is either a :class:`FinslerStructure` on a periodic chart or
+    a log F array of shape ``bgrid.shape + (n_theta,)`` (a flow state).
     """
 
     def __init__(
@@ -92,8 +91,6 @@ class GridStructure(algebra.ConnectionStack):
         self.eperp = np.stack([-np.sin(th), np.cos(th)], axis=-1)
         self.y = self.e[None, None, :, :]  # (1, 1, Ntheta, 2)
         if isinstance(source, FinslerStructure):
-            if source.mode != "analytic":
-                raise GridError("grid sampling needs an analytic structure or logF data")
             if not source.chart.periodic:
                 raise GridError(f"{source.name}: non-periodic chart cannot be grid-sampled")
             self.structure = source

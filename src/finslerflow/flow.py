@@ -228,7 +228,6 @@ class FlowDiagnostics:
     min_eig_g: float
     max_abs_huu: float
     gem_residual: float
-    accepted: bool = True
 
     CSV_HEADER = "step,time,V,I,I_norm,c,min_eig_g,max_abs_Huu,gem_residual"
 
@@ -364,7 +363,6 @@ def uniform_scaling_flow(
     T: float,
     dt: float,
     normalized: bool = False,
-    base_mode: str = "auto",
 ):
     """Integrate the flow under the uniform scaling ansatz F_t = phi(t) F_0.
 
@@ -381,13 +379,10 @@ def uniform_scaling_flow(
         def f2(xs, ys):
             return (phi * phi) * entry.f2(xs, ys)
 
-        return FinslerStructure(
-            n=entry.n, name=f"{entry.name}*{phi:g}", chart=entry.chart, f2=f2,
-            supports_base_jets=entry.supports_base_jets,
-        )
+        return FinslerStructure(n=entry.n, name=f"{entry.name}*{phi:g}", chart=entry.chart, f2=f2)
 
     def rhs(phi: float) -> float:
-        huu = float(ricci_directional(scaled(phi), x0, y0, base_mode=base_mode))
+        huu = float(ricci_directional(scaled(phi), x0, y0))
         c = huu if normalized else 0.0
         return -(huu - c) * phi
 

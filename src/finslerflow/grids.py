@@ -152,7 +152,3 @@ def base_derivative(
         return _spectral(field, axis, grid.lengths[axis], order)
     raise GridError(f"unknown base derivative mode {mode!r}")
 
-
-# 4th-order pointwise stencil weights, used by the FD jet provider.
-FD4_FIRST = {-2: 1.0 / 12.0, -1: -8.0 / 12.0, 1: 8.0 / 12.0, 2: -1.0 / 12.0}
-FD4_SECOND = {-2: -1.0 / 12.0, -1: 16.0 / 12.0, 0: -30.0 / 12.0, 1: 16.0 / 12.0, 2: -1.0 / 12.0}

@@ -3,10 +3,10 @@
 A :class:`FinslerStructure` wraps an evaluator of F^2(x, y) written in the
 generic scalar algebra of :mod:`finslerflow.jets` (so the same closure
 evaluates on floats, arrays, and jets).  :func:`f2_jets` gives its joint
-Taylor jets: fiber derivatives are exact, and base derivatives are exact
-when the structure supports base jets (closed-form x-dependence) and
-4th-order finite differences otherwise.  The pointwise tensors built from
-them (g, Cartan, mean Cartan, spray, ...) are read off
+Taylor jets, exact in fiber and base: ``f2`` is evaluated on jets in x as
+well as y, so it must use :mod:`finslerflow.jets` operations in both, and
+one that does not raises :class:`DomainError`.  The pointwise tensors
+built from them (g, Cartan, mean Cartan, spray, ...) are read off
 :class:`finslerflow.connections.PointAssembly`; the Liouville density is
 :func:`finslerflow.measure.liouville_density`.
 """
@@ -18,8 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import FD4_FIRST, FD4_SECOND
-from .jets import Jet, jet_spec, jet_variables, sqrt_
+from .jets import Jet, jet_variables, sqrt_
 
 __all__ = [
     "Chart",
@@ -48,7 +47,7 @@ class SingularMetricError(ArithmeticError):
 
 
 class DomainError(ValueError):
-    pass
+    """A point off the chart, y = 0, or an ``f2`` that cannot be evaluated on jets."""
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,6 @@ class FinslerStructure:
     name: str
     chart: Chart
     f2: Callable
-    mode: str = "analytic"  # 'analytic' | 'grid'
-    supports_base_jets: bool = True
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -128,92 +125,25 @@ def _check_chart(fs: FinslerStructure, x: np.ndarray):
         )
 
 
-def f2_jets(
-    fs: FinslerStructure,
-    x,
-    y,
-    forder: int,
-    border: int = 0,
-    base_mode: str = "auto",
-    fd_step: float | None = None,
-) -> Jet:
-    """Joint Taylor jets of F^2 at (x, y).
+def f2_jets(fs: FinslerStructure, x, y, forder: int, border: int = 0) -> Jet:
+    """Joint Taylor jets of F^2 at (x, y), exact in fiber and base.
 
-    With ``border > 0`` the base coefficients come either from evaluating the
-    structure on base jets (analytic mode) or from 4th-order finite
-    differences with step ``fd_step`` (default 1e-3).
+    ``fs.f2`` is evaluated on jets in x and y.  Raises :class:`DomainError`
+    for y = 0, for x off the chart, and when ``f2`` is not jet-safe (it
+    calls a numpy function on a jet instead of a :mod:`finslerflow.jets`
+    operation).
     """
-    if fs.mode != "analytic":
-        raise DomainError("pointwise jets need an analytic-mode structure")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_slit(y)
     _check_chart(fs, x)
-    if base_mode == "auto":
-        base_mode = "analytic" if fs.supports_base_jets else "fd"
-    if base_mode not in ("analytic", "fd"):
-        raise ValueError(f"unknown base mode {base_mode!r}")
-    if border > 0 and base_mode == "fd":
-        return _f2_jets_fd(fs, x, y, forder, border, fd_step or 1e-3)
-    if border > 0 and not fs.supports_base_jets:
-        raise DomainError(f"{fs.name} does not provide analytic base partials")
     xs, ys = jet_variables(x, y, border, forder)
-    return fs.f2(xs, ys)
-
-
-def _f2_jets_fd(fs, x, y, forder, border, h) -> Jet:
-    """Assemble joint jets with FD base coefficients from fiber-only jets."""
-    n = fs.n
-    spec = jet_spec(n, border, n, forder)
-    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-    out = np.zeros((spec.ncoeff,) + lead)
-    fspec = jet_spec(0, 0, n, forder)
-
-    def station(dx):
-        return fs.f2(*jet_variables(x + np.asarray(dx) * h, y, 0, forder)).c
-
-    center = station((0.0,) * n)
-    zero_b = (0,) * n
-
-    def put(bmon, coeffs, bfact):
-        for fi, fmon in enumerate(fspec.fmons):
-            out[spec.index(bmon, fmon)] = coeffs[fi] / bfact
-
-    put(zero_b, center, 1.0)
-    if border >= 1:
-        for a in range(n):
-            acc = np.zeros_like(center)
-            for s, w in FD4_FIRST.items():
-                dx = [0.0] * n
-                dx[a] = s
-                acc += w * station(dx)
-            bmon = tuple(1 if t == a else 0 for t in range(n))
-            put(bmon, acc / h, 1.0)
-    if border >= 2:
-        for a in range(n):
-            acc = np.zeros_like(center)
-            for s, w in FD4_SECOND.items():
-                if s == 0:
-                    acc += w * center
-                else:
-                    dx = [0.0] * n
-                    dx[a] = s
-                    acc += w * station(dx)
-            bmon = tuple(2 if t == a else 0 for t in range(n))
-            put(bmon, acc / h**2, 2.0)
-        for a in range(n):
-            for b in range(a + 1, n):
-                acc = np.zeros_like(center)
-                for sa, wa in FD4_FIRST.items():
-                    for sb, wb in FD4_FIRST.items():
-                        dx = [0.0] * n
-                        dx[a], dx[b] = sa, sb
-                        acc += wa * wb * station(dx)
-                bmon = tuple(
-                    1 if t in (a, b) else 0 for t in range(n)
-                )
-                put(bmon, acc / h**2, 1.0)
-    return Jet(spec, out, border, forder)
+    try:
+        return fs.f2(xs, ys)
+    except TypeError as exc:
+        raise DomainError(
+            f"{fs.name}: f2 must use finslerflow.jets operations in x and y ({exc})"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +169,11 @@ class JetRequest:
             )
 
 
-def fiber_jet(fs: FinslerStructure, x, y, req: JetRequest, base_mode: str = "auto"):
+def fiber_jet(fs: FinslerStructure, x, y, req: JetRequest):
     """Mixed partial of F (or F^2) at (x, y); fiber part exact via jets."""
     req.validate(fs.n)
     kb, kf = sum(req.base), sum(req.fiber)
-    j = f2_jets(fs, x, y, forder=kf, border=kb, base_mode=base_mode)
+    j = f2_jets(fs, x, y, forder=kf, border=kb)
     if not req.of_f2:
         j = sqrt_(j)
     return j.deriv(bmon=req.base if kb else (), fmon=req.fiber)

@@ -204,8 +204,7 @@ def conformal_family(fs: FinslerStructure, k_fun: Callable, t_max: float = 0.5) 
             return exp_(2.0 * t * k_fun(xs)) * base
 
         return FinslerStructure(
-            n=fs.n, name=f"{fs.name}+conformal(t={t:g})", chart=fs.chart, f2=f2,
-            supports_base_jets=fs.supports_base_jets,
+            n=fs.n, name=f"{fs.name}+conformal(t={t:g})", chart=fs.chart, f2=f2
         )
 
     return MetricFamily(make=make, t_max=t_max, kind="conformal", k_fun=k_fun)
@@ -225,8 +224,7 @@ def randers_family(
             return F * F
 
         return FinslerStructure(
-            n=fs.n, name=f"{fs.name}+randers(t={t:g})", chart=fs.chart, f2=f2,
-            supports_base_jets=fs.supports_base_jets,
+            n=fs.n, name=f"{fs.name}+randers(t={t:g})", chart=fs.chart, f2=f2
         )
 
     return MetricFamily(make=make, t_max=t_max, kind="randers")

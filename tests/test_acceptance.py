@@ -70,9 +70,7 @@ def test_c1_riemannian_reduction_conformal_torus():
     out = np.empty(len(X))
     CH = 32768
     for i in range(0, len(X), CH):
-        out[i : i + CH] = ff.ricci_directional(
-            entry.structure, X[i : i + CH], Y[i : i + CH], base_mode="analytic"
-        )
+        out[i : i + CH] = ff.ricci_directional(entry.structure, X[i : i + CH], Y[i : i + CH])
     Kflat = np.broadcast_to(K, (64, 64, 64)).reshape(-1)
     err_an = float(np.max(np.abs(out - Kflat) / (1.0 + np.abs(Kflat))))
     elapsed = time.perf_counter() - t_start
@@ -93,7 +91,7 @@ def test_c2_funk_flag_curvature():
     x = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1)
     th = TWO_PI * u[:, 2]
     y = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    got = ff.ricci_directional(entry.structure, x, y, base_mode="analytic")
+    got = ff.ricci_directional(entry.structure, x, y)
     worst = float(np.max(np.abs(got + 0.25)))
     # independent oracle from the projectively flat spray
     oracle = funk_ricci_projective(entry.structure, x, y)

@@ -74,6 +74,10 @@ def test_euler_consistency_and_q_identity(randers):
 def test_funk_flag_curvature(funk):
     assert funk_pde_residual(funk.structure, np.array([0.3, -0.2]), Y0) <= 1e-10
     xs, ys = sample_points(funk.structure, 10)
+    # within 2e-3 of the rim: base derivatives must not read F^2 off the disk
+    rim = np.array([[0.9985, 0.0], [0.9995, 0.0]])
+    xs = np.concatenate([xs, rim])
+    ys = np.concatenate([ys, np.tile([np.cos(1.3), np.sin(1.3)], (2, 1))])
     oracle = funk_ricci_projective(funk.structure, xs, ys)
     np.testing.assert_allclose(oracle, -0.25, atol=1e-12)
     got = ff.ricci_directional(funk.structure, xs, ys)
@@ -122,11 +126,28 @@ def test_funk_is_gem(funk):
     assert ht == pytest.approx(-0.5, abs=1e-6)
 
 
-def test_fd_base_mode_close_to_analytic(conformal):
+def test_ricci_directional_base_mode_analytic_only(conformal):
     xs, ys = sample_points(conformal.structure, 6)
+    with pytest.raises(ValueError, match="analytic only"):
+        ff.ricci_directional(conformal.structure, xs, ys, base_mode="fd")
     a = ff.ricci_directional(conformal.structure, xs, ys, base_mode="analytic")
-    b = ff.ricci_directional(conformal.structure, xs, ys, base_mode="fd")
-    assert np.max(np.abs(a - b)) <= 1e-8  # FD step 1e-3, 4th order
+    assert a.tobytes() == ff.ricci_directional(conformal.structure, xs, ys).tobytes()
+
+
+def test_f2_not_jet_safe_in_x_raises_domain_error():
+    """An f2 calling numpy on x fails with DomainError wherever base jets are taken."""
+
+    def f2(xs, ys):
+        return (2.0 + np.sin(xs[0])) * (ys[0] * ys[0] + ys[1] * ys[1])
+
+    fs = FinslerStructure(2, "numpy-in-x", Chart("torus", lengths=(2 * np.pi, 2 * np.pi)), f2)
+    for op in (ff.ricci_directional, ff.spray):
+        with pytest.raises(ff.DomainError, match="numpy-in-x.*finslerflow.jets") as info:
+            op(fs, X0, Y0)
+        assert isinstance(info.value.__cause__, TypeError)
+    # at base order 0, x enters f2 as floats, so the metric itself works
+    g = ff.fundamental_tensor(fs, X0, Y0)
+    np.testing.assert_allclose(g, (2.0 + np.sin(X0[0])) * np.eye(2), rtol=1e-14)
 
 
 def test_spray_trace_matches_jet_loop(randers, funk):

@@ -222,13 +222,6 @@ def test_fiber_jet_deterministic(randers):
     assert a == b
 
 
-def test_fd_base_mode_matches_analytic(conformal):
-    y = np.array([0.8, 0.25])
-    ja = f2_jets(conformal.structure, X0, y, forder=2, border=2, base_mode="analytic")
-    jf = f2_jets(conformal.structure, X0, y, forder=2, border=2, base_mode="fd")
-    np.testing.assert_allclose(jf.c, ja.c, rtol=1e-8, atol=1e-9)
-
-
 def test_structure_rejects_n3():
     with pytest.raises(ValueError):
         ff.FinslerStructure(
