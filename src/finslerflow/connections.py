@@ -46,7 +46,8 @@ class PointAssembly(algebra.ConnectionStack):
         y = np.asarray(y, dtype=float)
         self.F2 = f2_jets(fs, x, y, forder=forder, border=border)
         self.y = np.array(
-            [Jet.variable(self.F2.spec, "y", a, y[..., a]) for a in range(self.n)], dtype=object
+            [Jet.variable(self.F2.valid_spec, "y", a, y[..., a]) for a in range(self.n)],
+            dtype=object,
         )
         self._cache: dict = {}
 

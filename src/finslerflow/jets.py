@@ -16,12 +16,20 @@ Taylor coefficient is one contiguous plane over an arbitrary leading shape,
 and all operations broadcast over that shape, which is how grid sweeps
 vectorize.
 
-A jet stores only its valid box: the orders ``bvalid``/``fvalid`` up to
-which its inputs determine it, which are always its spec's orders.  They
-shrink under differentiation, and a sum or product lives on the smaller of
-its operands' boxes, so no coefficient is computed that the inputs do not
-support, and reading a derivative beyond the box is an error instead of
-silent garbage.
+A jet has a valid box: the orders ``bvalid``/``fvalid`` up to which its
+inputs determine it.  They shrink under differentiation, and a sum or
+product is valid on the smaller of its operands' boxes, so no coefficient is
+computed that the inputs do not support, and reading a derivative beyond
+the valid box is an error instead of silent garbage.
+
+Inside it a jet stores only its support box, its spec's orders: every
+coefficient outside is exactly zero.  Constants store (0, 0), x seeds
+(1, 0) and y seeds (0, 1); a product stores the sum of its operands' boxes
+and a sum the larger one, each clipped to the valid box; a derivative
+lowers its own kind by one.  So x-only and y-only factors, such as a
+conformal factor and |y|^2, multiply on their small boxes, and a product
+skips exactly the terms with a zero factor, summing the others in the same
+order as a product over the whole valid box.
 """
 
 from __future__ import annotations
@@ -136,6 +144,7 @@ class JetSpec:
         self.factorials = np.asarray(fact)
         self._boxes: dict = {}
         self._dmaps: dict = {}
+        self._plans: dict = {}
 
     def box(self, border: int, forder: int) -> tuple["JetSpec", np.ndarray]:
         """The spec of the (border, forder) box and the indices of its monomials here."""
@@ -148,6 +157,37 @@ class JetSpec:
                 sub, np.asarray([self._midx[m] for m in sub.mons], dtype=np.int64)
             )
         return self._boxes[key]
+
+    def mul_plan(self, sa: tuple[int, int], sb: tuple[int, int]):
+        """(spec, triplets, groups) of a product valid here, its operands stored on ``sa``, ``sb``.
+
+        These are this spec's triplets and groups with both factors inside
+        the stored boxes, in the same i-major order, with indices local to
+        the operands' boxes and to the product's box ``spec``; every dropped
+        term has an exactly zero factor.
+        """
+        key = (sa, sb)
+        if key not in self._plans:
+            so = (min(sa[0] + sb[0], self.border), min(sa[1] + sb[1], self.forder))
+            la, lb, lo = (self._local(*box) for box in (sa, sb, so))
+            trip = np.asarray(self.mul_triplets, dtype=np.int64).reshape(-1, 3)
+            ii, jj, kk = trip[(la[trip[:, 0]] >= 0) & (lb[trip[:, 1]] >= 0)].T
+            triplets = list(zip(la[ii].tolist(), lb[jj].tolist(), lo[kk].tolist()))
+            groups = []
+            for i, js, ks in self.mul_groups:
+                keep = lb[js] >= 0
+                if la[i] >= 0 and keep.any():
+                    groups.append((int(la[i]), lb[js[keep]], lo[ks[keep]]))
+            spec = jet_spec(self.nbase, so[0], self.nfiber, so[1])
+            self._plans[key] = (spec, triplets, groups)
+        return self._plans[key]
+
+    def _local(self, border: int, forder: int) -> np.ndarray:
+        """Index of each monomial here within the (border, forder) box, -1 outside it."""
+        sub, idx = self.box(border, forder)
+        local = np.full(self.ncoeff, -1, dtype=np.int64)
+        local[idx] = np.arange(sub.ncoeff)
+        return local
 
     def dmap(self, var: int, base: bool) -> tuple["JetSpec", np.ndarray, np.ndarray]:
         """(spec, src, factor) of d/dx_var (``base``) or d/dy_var.
@@ -181,12 +221,13 @@ class JetSpec:
 
 @dataclass
 class Jet:
-    """Truncated Taylor expansion that stores only its valid orders.
+    """Truncated Taylor expansion that stores only its support box.
 
     ``c`` has shape ``(spec.ncoeff,) + leading_shape``.  ``bvalid`` and
-    ``fvalid`` are the orders up to which coefficients are trustworthy, and
-    they always equal ``spec.border`` and ``spec.forder``: a jet built with
-    lower orders than its spec keeps only the coefficients of that box.
+    ``fvalid`` are the orders up to which coefficients are trustworthy;
+    ``spec`` is the support box inside them, outside which every coefficient
+    is exactly zero.  A jet built with a spec larger than its valid box
+    keeps only the coefficients of the valid box.
     """
 
     spec: JetSpec
@@ -201,42 +242,46 @@ class Jet:
     __array_ufunc__ = None
 
     def __post_init__(self):
-        if self.bvalid != self.spec.border or self.fvalid != self.spec.forder:
-            self.spec, idx = self.spec.box(self.bvalid, self.fvalid)
+        border, forder = min(self.spec.border, self.bvalid), min(self.spec.forder, self.fvalid)
+        if (border, forder) != (self.spec.border, self.spec.forder):
+            self.spec, idx = self.spec.box(border, forder)
             self.c = self.c[idx]
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def constant(spec: JetSpec, value, shape=()) -> "Jet":
+        """A constant valid on ``spec``'s orders (it stores one coefficient)."""
         value = np.asarray(value, dtype=float)
         lead = np.broadcast_shapes(value.shape, shape)
-        c = np.zeros((spec.ncoeff,) + lead)
+        c = np.zeros((1,) + lead)
         c[0] = value
-        return Jet(spec, c, spec.border, spec.forder)
+        return Jet(spec.box(0, 0)[0], c, spec.border, spec.forder)
 
     @staticmethod
     def variable(spec: JetSpec, kind: str, var: int, value, shape=()) -> "Jet":
-        """Seed jet for a base ('x') or fiber ('y') coordinate."""
-        out = Jet.constant(spec, value, shape)
-        if kind == "x":
-            mon = (
-                tuple(1 if t == var else 0 for t in range(spec.nbase)),
-                (0,) * spec.nfiber,
-            )
-        elif kind == "y":
-            mon = (
-                (0,) * spec.nbase,
-                tuple(1 if t == var else 0 for t in range(spec.nfiber)),
-            )
-        else:
+        """Seed jet for a base ('x') or fiber ('y') coordinate, valid on ``spec``'s orders."""
+        if kind not in ("x", "y"):
             raise ValueError(f"unknown variable kind {kind!r}")
-        out.c[spec.index(*mon)] = 1.0
-        return out
+        base = kind == "x"
+        sub = spec.box(min(spec.border, 1), 0)[0] if base else spec.box(0, min(spec.forder, 1))[0]
+        value = np.asarray(value, dtype=float)
+        c = np.zeros((sub.ncoeff,) + np.broadcast_shapes(value.shape, shape))
+        c[0] = value
+        if sub.ncoeff > 1:  # else its kind has order 0 and the seed is a constant
+            unit = tuple(int(t == var) for t in range(spec.nbase if base else spec.nfiber))
+            zero = (0,) * (spec.nfiber if base else spec.nbase)
+            c[sub.index(*((unit, zero) if base else (zero, unit)))] = 1.0
+        return Jet(sub, c, spec.border, spec.forder)
 
     # -- inspection ----------------------------------------------------
     @property
     def shape(self):
         return self.c.shape[1:]
+
+    @property
+    def valid_spec(self) -> JetSpec:
+        """The spec of the valid box."""
+        return jet_spec(self.spec.nbase, self.bvalid, self.spec.nfiber, self.fvalid)
 
     def value(self) -> np.ndarray:
         return self.c[0]
@@ -250,6 +295,8 @@ class Jet:
                 f"derivative {bmon}+{fmon} beyond valid orders "
                 f"({self.bvalid},{self.fvalid})"
             )
+        if sum(bmon) > self.spec.border or sum(fmon) > self.spec.forder:
+            return np.zeros(self.shape)[()]
         k = self.spec.index(bmon, fmon)
         return self.c[k] * self.spec.factorials[k]
 
@@ -257,17 +304,21 @@ class Jet:
         """d/dx_var as a jet (base order drops by one)."""
         if self.bvalid < 1:
             raise JetOrderError("no base order left to differentiate")
-        return self._apply_dmap(self.spec.dmap(var, True))
+        return self._differentiate(var, True)
 
     def fiber_deriv(self, var: int) -> "Jet":
         """d/dy_var as a jet (fiber order drops by one)."""
         if self.fvalid < 1:
             raise JetOrderError("no fiber order left to differentiate")
-        return self._apply_dmap(self.spec.dmap(var, False))
+        return self._differentiate(var, False)
 
-    def _apply_dmap(self, dmap) -> "Jet":
-        spec, src, fac = dmap
-        return Jet(spec, self.c[src] * _lift(fac, self.c.ndim - 1), spec.border, spec.forder)
+    def _differentiate(self, var: int, base: bool) -> "Jet":
+        bvalid, fvalid = self.bvalid - base, self.fvalid - (not base)
+        if (self.spec.border if base else self.spec.forder) == 0:
+            valid = jet_spec(self.spec.nbase, bvalid, self.spec.nfiber, fvalid)
+            return Jet.constant(valid, 0.0, self.shape)
+        spec, src, fac = self.spec.dmap(var, base)
+        return Jet(spec, self.c[src] * _lift(fac, self.c.ndim - 1), bvalid, fvalid)
 
     # -- arithmetic ----------------------------------------------------
     def _coerce(self, other) -> "Jet":
@@ -275,26 +326,31 @@ class Jet:
             if (other.spec.nbase, other.spec.nfiber) != (self.spec.nbase, self.spec.nfiber):
                 raise ValueError("jet spec mismatch")
             return other
-        return Jet.constant(self.spec, other, self.shape)
+        return Jet.constant(self.valid_spec, other, self.shape)
 
-    def _aligned(self, other):
-        """(spec, own coefficients, other's) on the two jets' common box, leads padded alike."""
+    def _common(self, other) -> tuple["Jet", "Jet"]:
+        """Both operands cut to their common valid box."""
         o = self._coerce(other)
-        border, forder = min(self.bvalid, o.bvalid), min(self.fvalid, o.fvalid)
-        a = Jet(self.spec, self.c, border, forder)
-        b = Jet(o.spec, o.c, border, forder).c
-        ndim = max(a.c.ndim, b.ndim) - 1
-        return a.spec, _lift(a.c, ndim), _lift(b, ndim)
+        bvalid, fvalid = min(self.bvalid, o.bvalid), min(self.fvalid, o.fvalid)
+        return Jet(self.spec, self.c, bvalid, fvalid), Jet(o.spec, o.c, bvalid, fvalid)
+
+    def _combine(self, other, op) -> "Jet":
+        """``op`` of the coefficients of both operands, zero-padded to the larger stored box."""
+        a, b = self._common(other)
+        spec = jet_spec(
+            a.spec.nbase, max(a.spec.border, b.spec.border),
+            a.spec.nfiber, max(a.spec.forder, b.spec.forder),
+        )
+        ndim = max(a.c.ndim, b.c.ndim) - 1
+        return Jet(spec, op(_embed(a, spec, ndim), _embed(b, spec, ndim)), a.bvalid, a.fvalid)
 
     def __add__(self, other):
-        spec, a, b = self._aligned(other)
-        return Jet(spec, a + b, spec.border, spec.forder)
+        return self._combine(other, np.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        spec, a, b = self._aligned(other)
-        return Jet(spec, a - b, spec.border, spec.forder)
+        return self._combine(other, np.subtract)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -312,22 +368,26 @@ class Jet:
                 self.bvalid,
                 self.fvalid,
             )
-        # Coefficients of the common box depend only on coefficients inside
-        # it, and its spec's triplets are the full spec's in the same order,
-        # so each one is summed exactly as a full-spec product would.
-        spec, a, b = self._aligned(other)
-        lead = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-        full = (spec.ncoeff,) + lead
-        a = np.broadcast_to(a, full)
-        b = np.broadcast_to(b, full)
-        out = np.zeros(full)
+        # The valid spec's triplets restricted to the stored boxes drop only
+        # terms with an exactly zero factor and keep the others in order, so
+        # each coefficient is summed exactly as a product over the valid box.
+        a, b = self._common(other)
+        spec, triplets, groups = a.valid_spec.mul_plan(
+            (a.spec.border, a.spec.forder), (b.spec.border, b.spec.forder)
+        )
+        ndim = max(a.c.ndim, b.c.ndim) - 1
+        ac, bc = _lift(a.c, ndim), _lift(b.c, ndim)
+        lead = np.broadcast_shapes(ac.shape[1:], bc.shape[1:])
+        ac = np.broadcast_to(ac, ac.shape[:1] + lead)
+        bc = np.broadcast_to(bc, bc.shape[:1] + lead)
+        out = np.zeros((spec.ncoeff,) + lead)
         if math.prod(lead) < _GROUPED_MAX_POINTS:
-            for i, js, ks in spec.mul_groups:
-                out[ks] += a[i] * b[js]
+            for i, js, ks in groups:
+                out[ks] += ac[i] * bc[js]
         else:
-            for i, j, k in spec.mul_triplets:
-                out[k] += a[i] * b[j]
-        return Jet(spec, out, spec.border, spec.forder)
+            for i, j, k in triplets:
+                out[k] += ac[i] * bc[j]
+        return Jet(spec, out, a.bvalid, a.fvalid)
 
     __rmul__ = __mul__
 
@@ -344,7 +404,7 @@ class Jet:
             p = int(p)
             if p < 0:
                 return (self._reciprocal()) ** (-p)
-            out = Jet.constant(self.spec, 1.0, self.shape)
+            out = Jet.constant(self.valid_spec, 1.0, self.shape)
             base = self
             while p:
                 if p & 1:
@@ -369,7 +429,7 @@ class Jet:
         """
         nil = self._nilpotent()
         m = series.shape[0] - 1
-        out = Jet.constant(self.spec, series[m], self.shape)
+        out = Jet.constant(self.valid_spec, series[m], self.shape)
         for j in range(m - 1, -1, -1):
             out = out * nil
             out.c[0] += series[j]
@@ -387,6 +447,15 @@ class Jet:
                 series[j] = (-1.0) ** j * v ** (-(j + 1))
             self._recip = self.compose(series)
         return self._recip
+
+
+def _embed(jet: Jet, spec: JetSpec, ndim: int) -> np.ndarray:
+    """A jet's coefficients zero-padded to the box ``spec``, leads lifted to ``ndim`` axes."""
+    if jet.spec is spec:
+        return _lift(jet.c, ndim)
+    out = np.zeros((spec.ncoeff,) + jet.shape)
+    out[spec.box(jet.spec.border, jet.spec.forder)[1]] = jet.c
+    return _lift(out, ndim)
 
 
 def _pow_series(v: np.ndarray, p: float, m: int) -> np.ndarray:

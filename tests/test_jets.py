@@ -126,7 +126,8 @@ def test_exp_log_roundtrip_property(b):
     _, (y1, y2) = vars_at([0, 0], [b, 1.3], border=0, forder=4)
     f = y1 * y1 + y2
     g = exp_(log_(f))
-    np.testing.assert_allclose(g.c, f.c, rtol=1e-11, atol=1e-11)
+    # g stores the whole valid box, f only its support box: compare on the valid box
+    np.testing.assert_allclose(_dense(g), _dense(f), rtol=1e-11, atol=1e-11)
 
 
 @settings(max_examples=25, deadline=None)
@@ -154,6 +155,14 @@ def test_product_paths_match_triplet_loop():
         got = a * b
         assert got.shape == lead
         assert np.array_equal(got.c, want)
+
+
+def _dense(jet):
+    """A jet's coefficients on its whole valid box: zero outside its stored box."""
+    valid = jet_spec(jet.spec.nbase, jet.bvalid, jet.spec.nfiber, jet.fvalid)
+    out = np.zeros((valid.ncoeff,) + jet.shape)
+    out[[valid.index(bm, fm) for bm, fm in jet.spec.mons]] = jet.c
+    return out
 
 
 def _box_indices(spec, border, forder):
@@ -277,7 +286,98 @@ def test_bundle_assembly_stores_valid_boxes(monkeypatch):
             assert value.dtype == float
     assert len(jets) > 20 and all(isinstance(j, Jet) for j in jets)
     for j in jets:
-        assert (j.spec.border, j.spec.forder) == (j.bvalid, j.fvalid)
+        assert j.spec.border <= j.bvalid and j.spec.forder <= j.fvalid
         assert j.c.shape[0] == j.spec.ncoeff
     # the spray stack sits below the input box: Gjk is valid to (1, 3)
     assert {(j.bvalid, j.fvalid) for j in pa.Gjk.ravel()} == {(1, 3)}
+
+
+def _dense_product(a, b):
+    """The product over the whole common valid box, by its spec's full tables."""
+    border, forder = min(a.bvalid, b.bvalid), min(a.fvalid, b.fvalid)
+    spec = jet_spec(a.spec.nbase, border, a.spec.nfiber, forder)
+    A, B = (_dense(Jet(j.spec, j.c, border, forder)) for j in (a, b))
+    ndim = max(A.ndim, B.ndim)
+    A, B = (M.reshape(M.shape[:1] + (1,) * (ndim - M.ndim) + M.shape[1:]) for M in (A, B))
+    lead = np.broadcast_shapes(A.shape[1:], B.shape[1:])
+    A, B = np.broadcast_to(A, A.shape[:1] + lead), np.broadcast_to(B, B.shape[:1] + lead)
+    out = np.zeros((spec.ncoeff,) + lead)
+    if int(np.prod(lead)) < 512:
+        for i, js, ks in spec.mul_groups:
+            out[ks] += A[i] * B[js]
+    else:
+        for i, j, k in spec.mul_triplets:
+            out[k] += A[i] * B[j]
+    return Jet(spec, out, border, forder)
+
+
+def _support_box_expressions(x, y):
+    (x1, x2), (y1, y2) = vars_at(x, y, border=2, forder=4)
+    conf = exp_(0.4 * sin_(x1) * x2)                # x only
+    quad = y1 * y1 + 0.5 * y1 * y2 + 2.0 * y2 * y2  # y only
+    mixed = sqrt_(conf * quad + x2 * y1)
+    ratio = mixed / (1.0 + x1 * x1 + quad)          # through a reciprocal
+    return {
+        "conf": conf, "quad": quad, "mixed": mixed, "ratio": ratio,
+        "conf*quad": conf * quad, "quad*conf": quad * conf,
+        "d": ratio.fiber_deriv(0) * conf.base_deriv(1) + quad.fiber_deriv(1) * mixed,
+    }
+
+
+def test_support_box_products_match_dense_reference(monkeypatch):
+    # Products on the stored support boxes skip only terms with a zero factor,
+    # so every jet equals the dense valid-box computation bit for bit, on the
+    # grouped path (under 512 points) and on the triplet path.
+    rng = np.random.default_rng(3)
+    for xlead, ylead in (((), ()), ((5,), (5,)), ((3, 700), (700,))):
+        x = rng.uniform(-1.0, 1.0, xlead + (2,))
+        y = rng.uniform(0.5, 1.5, ylead + (2,))
+        got = _support_box_expressions(x, y)
+        with monkeypatch.context() as m:
+            sparse_mul = Jet.__mul__
+
+            def mul(a, b):
+                return _dense_product(a, b) if isinstance(b, Jet) else sparse_mul(a, b)
+
+            m.setattr(Jet, "__mul__", mul)
+            m.setattr(Jet, "__rmul__", mul)
+            want = _support_box_expressions(x, y)
+        for key, jet in got.items():
+            ref = want[key]
+            assert (jet.bvalid, jet.fvalid) == (ref.bvalid, ref.fvalid), key
+            assert jet.shape == ref.shape, key
+            assert _dense(jet).tobytes() == _dense(ref).tobytes(), (key, xlead)
+        assert got["ratio"].shape == np.broadcast_shapes(xlead, ylead)
+        assert (got["conf"].spec.border, got["conf"].spec.forder) == (2, 0)
+        assert (got["quad"].spec.border, got["quad"].spec.forder) == (0, 2)
+        assert (got["conf*quad"].spec.border, got["conf*quad"].spec.forder) == (2, 2)
+
+
+def test_support_boxes_of_zoo_metrics():
+    from finslerflow.connections import PointAssembly
+    from finslerflow.zoo import get_entry
+
+    x, y = np.array([0.2, 0.1]), np.array([np.cos(0.7), np.sin(0.7)])
+    pa = PointAssembly(get_entry("conformal-torus").structure, x, y, forder=4, border=2)
+    assert (pa.F2.bvalid, pa.F2.fvalid) == (2, 4)
+    assert (pa.F2.spec.border, pa.F2.spec.forder) == (2, 2)
+    assert {(j.spec.border, j.spec.forder) for j in pa.g.ravel()} == {(2, 0)}
+    # the y seeds are valid on F^2's box but store only their linear part
+    assert {(j.bvalid, j.fvalid, j.spec.border, j.spec.forder) for j in pa.y} == {(2, 4, 0, 1)}
+    pa = PointAssembly(get_entry("funk-disk").structure, x, y, forder=4, border=2)
+    assert (pa.F2.spec.border, pa.F2.spec.forder) == (2, 4)
+
+
+def test_derivatives_past_the_support_box_are_zero():
+    (x1, _), _ = vars_at([0.3, 0.4], [1.0, 0.7], border=2, forder=4)
+    f = sin_(x1)
+    assert (f.spec.border, f.spec.forder) == (2, 0)
+    assert f.deriv(bmon=(1, 0), fmon=(0, 1)) == 0.0
+    d = f.fiber_deriv(0)
+    assert (d.bvalid, d.fvalid, d.spec.border, d.spec.forder) == (2, 3, 0, 0)
+    assert d.value() == 0.0
+    with pytest.raises(JetOrderError):
+        d.deriv(fmon=(4, 0))
+    # a y seed with no fiber order is its value
+    _, (yc, _) = vars_at([0.3, 0.4], [1.0, 0.7], border=1, forder=0)
+    assert (yc.fvalid, yc.spec.ncoeff) == (0, 1) and yc.value() == 1.0

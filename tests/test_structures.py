@@ -214,6 +214,19 @@ def test_pointwise_api_rejects_x_off_chart(name, x):
         ff.ricci_directional(fs, xs, y)
 
 
+def test_fiber_jet_fiber_order_zero(sphere):
+    # with no fiber order the y seeds are constants: F^2 itself, and its x-derivative
+    fs = sphere.structure
+    x, y = np.array([0.2, 0.1]), np.array([1.0, 0.3])
+    v = fiber_jet(fs, x, y, JetRequest((0, 0), (0, 0), of_f2=True))
+    assert v == fs.F2(x, y)
+    d = fiber_jet(fs, x, y, JetRequest((1, 0), (0, 0), of_f2=True))
+    # F^2 = c^2 |y|^2 with c = 2 / (1 + |x|^2), so d/dx^1 F^2 = -2 c^3 x^1 |y|^2
+    c = 2.0 / (1.0 + x @ x)
+    assert d == pytest.approx(-2.0 * c**3 * x[0] * (y @ y), rel=1e-14)
+    assert d == pytest.approx(-3.01306554, abs=1e-8)
+
+
 def test_fiber_jet_deterministic(randers):
     req = JetRequest((1, 0), (2, 1), of_f2=True)
     y = np.array([0.9, 0.7])
