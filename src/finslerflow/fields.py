@@ -197,7 +197,7 @@ class GridStructure(algebra.ConnectionStack):
     def nabla0_mean_cartan(self) -> np.ndarray:
         """(nabla_0 C^j) with C^j = g^{jk} C_k, at y = e(theta)."""
         def build():
-            Cup = np.einsum("...jk,...k->...j", self.ginv, self.mean_cartan)
+            Cup = algebra.contract("...jk,...k->...j", self.ginv, self.mean_cartan)
             return cov_deriv_0(TensorField(Cup, (1, 0), homogeneity=-1), self).data
         return self._get("nabla0_mean_cartan", build)
 
@@ -216,21 +216,16 @@ def horizontal_cov_deriv(field: TensorField, gs: GridStructure) -> TensorField:
     d = field.homogeneity
     fT = gs.fiber(T, d)  # (..., idx..., r)
     idx = "ijkl"[:rank]
-    delta = gs.base(T) - np.einsum(f"abc{idx}r,abcrm->abc{idx}m", fT, gs.Gj)
-    out = delta
+    out = gs.base(T) - algebra.contract(f"...{idx}r,...rm->...{idx}m", fT, gs.Gj)
     Gam = gs.Gamma
     # contravariant slots: + T^{r...} Gamma^i_rm
     for s in range(p):
         pre, post = idx[:s], idx[s + 1:]
-        out = out + np.einsum(
-            f"abc{pre}r{post},abc{idx[s]}rm->abc{idx}m", T, Gam
-        )
+        out += algebra.contract(f"...{pre}r{post},...{idx[s]}rm->...{idx}m", T, Gam)
     # covariant slots: - T_{...r...} Gamma^r_jm
     for s in range(p, rank):
         pre, post = idx[:s], idx[s + 1:]
-        out = out - np.einsum(
-            f"abc{pre}r{post},abcr{idx[s]}m->abc{idx}m", T, Gam
-        )
+        out -= algebra.contract(f"...{pre}r{post},...r{idx[s]}m->...{idx}m", T, Gam)
     return TensorField(out, (p, q + 1), homogeneity=d)
 
 
@@ -238,5 +233,5 @@ def cov_deriv_0(field: TensorField, gs: GridStructure) -> TensorField:
     """nabla_0 T = y^m nabla_m T evaluated at y = e(theta)."""
     nab = horizontal_cov_deriv(field, gs)
     idx = "ijklm"[: field.rank]
-    data = np.einsum(f"abc{idx}t,abct->abc{idx}", nab.data, gs.y)
+    data = algebra.contract(f"...{idx}t,...t->...{idx}", nab.data, gs.y)
     return TensorField(data, field.valence, homogeneity=field.homogeneity + 1)

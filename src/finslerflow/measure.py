@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import contract
 from .connections import PointAssembly
 from .fields import GridStructure, TensorField
 from .grids import GridError
@@ -110,11 +111,19 @@ def global_inner(a, b, gs: GridStructure) -> float:
     if a.shape != b.shape or a.shape[:3] != gs.F2.shape:
         raise GridError("field shapes do not match the grid")
     gi = gs.ginv
-    dens = np.einsum("...ik,...jl,...ij,...kl->...", gi, gi, a, b)
+    dens = contract("...ik,...jl,...ij,...kl->...", gi, gi, a, b)
     return gs.integrate(dens)
 
 
 def pair_inner(X: np.ndarray, xi: np.ndarray, gs: GridStructure) -> float:
-    """Global pairing integral X^k xi_k eta of a vector with a 1-form."""
-    dens = np.einsum("...k,...k->...", X, xi)
+    """Global pairing integral X^k xi_k eta of a vector with a 1-form.
+
+    Both fields live on SM: a base field must be lifted to shape
+    ``gs.F2.shape + (2,)`` first, or it would broadcast along the wrong axes.
+    """
+    X, xi = np.asarray(X, dtype=float), np.asarray(xi, dtype=float)
+    want = gs.F2.shape + (2,)
+    if X.shape != want or xi.shape != want:
+        raise GridError(f"field shapes {X.shape}, {xi.shape} do not match the grid {want}")
+    dens = contract("...k,...k->...", X, xi)
     return gs.integrate(dens)

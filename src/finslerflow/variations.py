@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .algebra import contract
 from .fields import (
     GridStructure,
     TensorField,
@@ -60,7 +61,7 @@ class VariationField:
         """Residuals for y^k d_k h_ij = 0 and total symmetry of d_k h_ij."""
         dh = gs.fiber(self.data, 0)  # (..., i, j, k)
         scale = 1.0 + float(np.max(np.abs(self.data)))
-        zh = float(np.max(np.abs(np.einsum("...ijk,...k->...ij", dh, gs.y)))) / scale
+        zh = float(np.max(np.abs(contract("...ijk,...k->...ij", dh, gs.y)))) / scale
         sym = (
             np.abs(dh - np.swapaxes(dh, -1, -2))
             + np.abs(dh - np.swapaxes(dh, -2, -3))
@@ -98,11 +99,9 @@ def lie_derivative_metric(X, gs: GridStructure) -> VariationField:
     Xv = _vector_field(X, gs)
     Xf = TensorField(Xv, (1, 0), homogeneity=0)
     nabX = horizontal_cov_deriv(Xf, gs).data  # (..., k, i) = nabla_i X^k
-    low = np.einsum("...jk,...ki->...ij", gs.g, nabX)  # nabla_i X_j
-    nab0X = np.einsum("...ki,...i->...k", nabX, gs.y)  # nabla_0 X^k at y = e
-    h = low + np.swapaxes(low, -1, -2) + 2.0 * np.einsum(
-        "...k,...kij->...ij", nab0X, gs.cartan
-    )
+    low = contract("...jk,...ki->...ij", gs.g, nabX)  # nabla_i X_j
+    nab0X = contract("...ki,...i->...k", nabX, gs.y)  # nabla_0 X^k at y = e
+    h = low + np.swapaxes(low, -1, -2) + 2.0 * contract("...k,...kij->...ij", nab0X, gs.cartan)
     return VariationField(TensorField(h, (0, 2), 0), provenance="lie")
 
 
@@ -117,17 +116,17 @@ def divergence_delta(h: VariationField | TensorField, gs: GridStructure) -> Tens
     hdata = hf.data
     # nabla^i h_ik
     nabh = horizontal_cov_deriv(TensorField(hdata, (0, 2), 0), gs).data  # (...,i,k,m)
-    div = np.einsum("...im,...ikm->...k", gi, nabh)
+    div = contract("...im,...ikm->...k", gi, nabh)
     # h_kj nabla_0 C^j
-    t2 = np.einsum("...kj,...j->...k", hdata, gs.nabla0_mean_cartan)
+    t2 = contract("...kj,...j->...k", hdata, gs.nabla0_mean_cartan)
     # (nabla_0 C_kij) h^{ij}
-    hup = np.einsum("...ia,...jb,...ab->...ij", gi, gi, hdata)
+    hup = contract("...ia,...jb,...ab->...ij", gi, gi, hdata)
     Cdot = cov_deriv_0(TensorField(gs.cartan, (0, 3), -1), gs).data
-    t3 = np.einsum("...kij,...ij->...k", Cdot, hup)
+    t3 = contract("...kij,...ij->...k", Cdot, hup)
     # C_kij nabla_0 h^{ij}: metric compatibility lets nabla_0 act on h then raise
-    nab0h = np.einsum("...ikm,...m->...ik", nabh, gs.y)
-    nab0hup = np.einsum("...ia,...jb,...ab->...ij", gi, gi, nab0h)
-    t4 = np.einsum("...kij,...ij->...k", gs.cartan, nab0hup)
+    nab0h = contract("...ikm,...m->...ik", nabh, gs.y)
+    nab0hup = contract("...ia,...jb,...ab->...ij", gi, gi, nab0h)
+    t4 = contract("...kij,...ij->...k", gs.cartan, nab0hup)
     out = -(div - t2 + t3 + t4)
     return TensorField(out, (0, 1), homogeneity=0)
 
@@ -144,19 +143,19 @@ def codifferential(form: TensorField, gs: GridStructure, kind: str) -> np.ndarra
     gi = gs.ginv
     if kind == "horizontal":
         nab = horizontal_cov_deriv(form, gs).data  # (..., j, m)
-        div = np.einsum("...jm,...jm->...", gi, nab)
-        corr = np.einsum("...j,...j->...", a, gs.nabla0_mean_cartan)
+        div = contract("...jm,...jm->...", gi, nab)
+        corr = contract("...j,...j->...", a, gs.nabla0_mean_cartan)
         return -(div - corr)
     if kind == "vertical":
         da = fiber_partials(a, form.homogeneity, gs.thetas)  # (..., i, j)
-        return -gs.F * np.einsum("...ij,...ij->...", gi, da)
+        return -gs.F * contract("...ij,...ij->...", gi, da)
     raise ValueError(f"unknown codifferential kind {kind!r}")
 
 
 def trace_split(h: VariationField | TensorField, gs: GridStructure):
     """Pointwise decomposition h = (tr_g h / n) g + h_perp with tr_g h_perp = 0."""
     hf = h.h if isinstance(h, VariationField) else h
-    tr = np.einsum("...ij,...ij->...", gs.ginv, hf.data)
+    tr = contract("...ij,...ij->...", gs.ginv, hf.data)
     conf = (tr / 2.0)[..., None, None] * gs.g
     perp = hf.data - conf
     return (
@@ -291,8 +290,8 @@ def variation_residuals(
 
     gi = gs0.ginv
     e = gs0.y
-    tr_h = np.einsum("...ij,...ij->...", gi, h)
-    huu_dir = np.einsum("...ij,...i,...j->...", h, e, e) / gs0.F2  # h(u,u)
+    tr_h = contract("...ij,...ij->...", gi, h)
+    huu_dir = contract("...ij,...i,...j->...", h, e, e) / gs0.F2  # h(u,u)
 
     # (a) volume variation, both closed forms
     dV = (gp.volume - gm.volume) / (2.0 * t_step)
@@ -305,7 +304,7 @@ def variation_residuals(
 
     # (b) measure variation nodewise
     drho = (gp.rho - gm.rho) / (2.0 * t_step)
-    pref = np.einsum("...ij,...ij->...", gi, h) - (n / 2.0) * huu_dir
+    pref = tr_h - (n / 2.0) * huu_dir
     closed = pref * gs0.rho
     scale = float(np.max(np.abs(closed))) + 1e-30
     rep.residuals["eta' nodewise"] = float(np.max(np.abs(drho - closed))) / max(scale, 1.0)
@@ -313,16 +312,13 @@ def variation_residuals(
     # (c) nonlinear-connection variation (spray variation by FD on the right)
     dGj = (gp.Gj - gm.Gj) / (2.0 * t_step)
     dG = (gp.G - gm.G) / (2.0 * t_step)
-    hup = np.einsum("...im,...mj->...ij", gi, h)  # h^i_j
-    h_i0 = np.einsum("...ij,...j->...i", hup, e)  # h^i_o at y = e
-    h_0k = np.einsum("...mk,...m->...k", h, e)  # h_ok
     nab_h = horizontal_cov_deriv(TensorField(h, (0, 2), 0), gs0).data  # (...,i,j,m)
     # nabla_k h^i_o = g^{im} (nabla_k h_mj) y^j etc., using metric compatibility
-    nab_h_up0 = np.einsum("...im,...mjk,...j->...ik", gi, nab_h, e)  # nabla_k h^i_o
-    nab_0h_up = np.einsum("...im,...mkj,...j->...ik", gi, nab_h, e)  # nabla_o h^i_k
-    nab_up_h0 = np.einsum("...im,...kjm,...j->...ik", gi, nab_h, e)  # nabla^i h_ok
-    rhs = 0.5 * (nab_h_up0 + nab_0h_up - nab_up_h0) - 2.0 * np.einsum(
-        "...iks,...s->...ik", np.einsum("...im,...mks->...iks", gi, gs0.cartan), dG
+    nab_h_up0 = contract("...im,...mjk,...j->...ik", gi, nab_h, e)  # nabla_k h^i_o
+    nab_0h_up = contract("...im,...mkj,...j->...ik", gi, nab_h, e)  # nabla_o h^i_k
+    nab_up_h0 = contract("...im,...kjm,...j->...ik", gi, nab_h, e)  # nabla^i h_ok
+    rhs = 0.5 * (nab_h_up0 + nab_0h_up - nab_up_h0) - 2.0 * contract(
+        "...iks,...s->...ik", contract("...im,...mks->...iks", gi, gs0.cartan), dG
     )
     scale = float(np.max(np.abs(rhs))) + 1e-30
     rep.residuals["G'^i_k relation"] = float(np.max(np.abs(dGj - rhs))) / max(scale, 1.0)

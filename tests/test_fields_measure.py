@@ -5,13 +5,14 @@ import pytest
 
 import finslerflow as ff
 from finslerflow import algebra
-from finslerflow.fields import GridStructure, TensorField, horizontal_cov_deriv
+from finslerflow.fields import GridStructure, TensorField, cov_deriv_0, horizontal_cov_deriv
 from finslerflow.grids import GridError
 from finslerflow.jets import cos_, sin_, sqrt_
 from finslerflow.measure import (
     functional_report,
     global_inner,
     liouville_density,
+    pair_inner,
     sm_integrate,
 )
 from finslerflow.oracles import gauss_curvature_spectral
@@ -199,6 +200,36 @@ def test_cov_deriv_valence_1_3(gs_randers, randers):
     assert np.max(np.abs(got.data - want)) <= 1e-12
 
 
+def _horizontal_cov_deriv_einsum(field, gs):
+    """Reference: the ``np.einsum`` form of ``horizontal_cov_deriv``."""
+    p, q = field.valence
+    T = field.data
+    idx = "ijkl"[: field.rank]
+    fT = gs.fiber(T, field.homogeneity)
+    out = gs.base(T) - np.einsum(f"abc{idx}r,abcrm->abc{idx}m", fT, gs.Gj)
+    for s in range(p):
+        pre, post = idx[:s], idx[s + 1:]
+        out = out + np.einsum(f"abc{pre}r{post},abc{idx[s]}rm->abc{idx}m", T, gs.Gamma)
+    for s in range(p, field.rank):
+        pre, post = idx[:s], idx[s + 1:]
+        out = out - np.einsum(f"abc{pre}r{post},abcr{idx[s]}m->abc{idx}m", T, gs.Gamma)
+    return out
+
+
+@pytest.mark.parametrize("valence", [(1, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 3)])
+def test_cov_derivs_match_einsum_reference(randers, valence):
+    """The plane-wise covariant derivatives give the einsum form's bits."""
+    bg, fg = ff.build_grid(2, 24, TWO_PI, 32)
+    gs = GridStructure(randers.structure, bg, fg)
+    rng = np.random.default_rng(sum(valence) + 10 * valence[0])
+    T = TensorField(rng.standard_normal(gs.F2.shape + (2,) * sum(valence)), valence, -1)
+    want = _horizontal_cov_deriv_einsum(T, gs)
+    assert np.array_equal(horizontal_cov_deriv(T, gs).data, want)
+    idx = "ijkl"[: T.rank]
+    want0 = np.einsum(f"abc{idx}t,abct->abc{idx}", want, gs.y)
+    assert np.array_equal(cov_deriv_0(T, gs).data, want0)
+
+
 def test_tilde_light_matches_full(gs_randers, gs_conformal):
     for gs in (gs_randers, gs_conformal):
         np.testing.assert_allclose(
@@ -259,6 +290,22 @@ def test_global_inner_examples(gs_randers):
     )
     tr = np.einsum("...ij,...ij->...", gs.ginv, h)
     assert global_inner(hf, g, gs) == pytest.approx(gs.integrate(tr), rel=1e-10)
+
+
+def test_pair_inner_requires_lifted_fields(randers):
+    """A base field of shape (N1, N2, 2) must not broadcast along the fiber axis."""
+    bg, fg = ff.build_grid(2, 16, TWO_PI, 16)
+    gs = GridStructure(randers.structure, bg, fg)
+    xn = bg.nodes()
+    X = np.stack([np.sin(xn[..., 1]), np.cos(xn[..., 0])], axis=-1)
+    xi = gs.ginv[..., 0, :] * gs.F[..., None]
+    lifted = np.broadcast_to(X[:, :, None, :], gs.F2.shape + (2,))
+    want = gs.integrate(np.einsum("...k,...k->...", lifted, xi))
+    assert pair_inner(lifted, xi, gs) == want
+    with pytest.raises(GridError):
+        pair_inner(X, xi, gs)
+    with pytest.raises(GridError):
+        pair_inner(lifted, xi[..., 0], gs)
 
 
 def test_functional_report_average(gs_conformal):
