@@ -11,11 +11,15 @@ and ``fT[..., idx, m] = d T_idx / dy^m``.  The structures are 2-dimensional.
 
 Index contractions go through :func:`contract`, which takes ``einsum``'s
 ``'...'`` subscripts and sums products of component planes: on many 2 x 2
-blocks ``einsum`` costs several times the arithmetic.  The flow's light
-route keeps its own forms (``G``, :func:`spray_trace`, :func:`gem_gap`, the
-grid ``tilde`` and ``h_tilde_light``), as does ``Q``, and
+blocks ``einsum`` costs several times the arithmetic.  The spray ``G``,
+:func:`spray_trace`, the jet ``Q`` and the grid ``tilde`` keep their
+``einsum`` forms, :func:`gem_gap` is written out, and
 :mod:`finslerflow.oracles` stays on ``np.einsum`` so that its cross-checks
 share no code with this one.
+
+H(u,u), Htilde_ij and Htilde are read off the spray trace
+R^k_k = H_rs y^r y^s on both engines; the hh-curvature and Ricci tensor are
+kept for the pointwise bundle, whose jet ``Q`` feeds ``tilde``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .structures import SingularMetricError
 
 __all__ = [
     "ConnectionStack", "christoffel", "cartan_hcoeffs", "spray_trace", "hh_curvature",
-    "ricci", "huu", "gem_gap", "min_eig",
+    "ricci", "gem_gap", "min_eig",
 ]
 
 
@@ -266,13 +270,13 @@ class ConnectionStack:
 
     @property
     def Q(self):
-        """H_rs y^r y^s (2-homogeneous scalar)."""
+        """H_rs y^r y^s (2-homogeneous scalar), the argument of ``tilde``."""
         y = self.y
         return self._get("Q", lambda: np.einsum("...ij,...i,...j->...", self.ricci, y, y))
 
     @property
     def ricci_scalar(self):
-        """Trace R^k_k of the spray curvature (the light route to H(u,u) F^2)."""
+        """Trace R^k_k of the spray curvature, which equals H_rs y^r y^s."""
         def build():
             G, Gj = self.G, self.Gj
             return spray_trace(
@@ -288,14 +292,8 @@ class ConnectionStack:
 
     @property
     def huu(self):
-        """Ricci-directional curvature H(u,u) = H^k_jkl y^j y^l / F^2."""
-        return self._get("huu", lambda: huu(
-            self.values(self.hh), self.values(self.y)) / self.values(self.F2))
-
-    @property
-    def huu_light(self):
-        """H(u,u) through the spray-curvature trace, R^k_k / F^2."""
-        return self._get("huu_light", lambda: self.ricci_scalar / self.values(self.F2))
+        """Ricci-directional curvature H(u,u) = H^k_jkl y^j y^l / F^2 = R^k_k / F^2."""
+        return self._get("huu", lambda: self.ricci_scalar / self.values(self.F2))
 
     @property
     def h_tilde(self):
@@ -376,11 +374,6 @@ def ricci(g, ginv, H) -> np.ndarray:
     """Akbar-Zadeh Ricci tensor H_ij = g_ir g^{ks} H^r_kjs."""
     M = contract("...ks,...rkjs->...rj", ginv, H)
     return contract("...ir,...rj->...ij", g, M)
-
-
-def huu(H, y) -> np.ndarray:
-    """H^k_jkl y^j y^l; with y = u = y/F this is H(u,u) = g^{ik} H_ijkl u^j u^l."""
-    return contract("...kjkl,...j,...l->...", H, y, y)
 
 
 def gem_gap(rt, g, ginv) -> np.ndarray:

@@ -164,27 +164,20 @@ class GridStructure(algebra.ConnectionStack):
         return self._get("volume", lambda: self.integrate(np.ones_like(self.F2)))
 
     @property
-    def ricci_tilde_light(self) -> np.ndarray:
-        """Htilde_ij through the spray-curvature trace.
+    def Q(self) -> np.ndarray:
+        """H_rs y^r y^s, read as the spray trace R^k_k.
 
-        Uses the Berwald-curvature identity H_rs y^r y^s = R^k_k (checked in
-        the test suite against the H_ij contraction); avoids assembling the
-        full 4-index field, so it is the route the flow diagnostics take.
+        The Berwald-curvature identity H_rs y^r y^s = R^k_k (checked in the
+        test suite against the H_ij contraction) lets ``ricci_tilde``,
+        ``h_tilde`` and ``h_hat`` skip the 4-index hh field.
         """
-        return self._get("ricci_tilde_light", lambda: self.tilde(self.ricci_scalar))
-
-    @property
-    def h_tilde_light(self) -> np.ndarray:
-        return self._get(
-            "h_tilde_light",
-            lambda: np.einsum("...ij,...ij->...", self.ginv, self.ricci_tilde_light),
-        )
+        return self.ricci_scalar
 
     @property
     def gem_field(self) -> np.ndarray:
         """Metric-normalized |Htilde_ij - (Htilde/n) g_ij| field."""
         return self._get(
-            "gem_field", lambda: algebra.gem_gap(self.ricci_tilde_light, self.g, self.ginv)
+            "gem_field", lambda: algebra.gem_gap(self.ricci_tilde, self.g, self.ginv)
         )
 
     def gem_residual(self, stride: int = 1) -> float:
@@ -200,6 +193,12 @@ class GridStructure(algebra.ConnectionStack):
             Cup = algebra.contract("...jk,...k->...j", self.ginv, self.mean_cartan)
             return cov_deriv_0(TensorField(Cup, (1, 0), homogeneity=-1), self).data
         return self._get("nabla0_mean_cartan", build)
+
+    @property
+    def nabla0_cartan(self) -> np.ndarray:
+        """nabla_0 C_kij at y = e(theta)."""
+        return self._get("nabla0_cartan", lambda: cov_deriv_0(
+            TensorField(self.cartan, (0, 3), homogeneity=-1), self).data)
 
 
 def horizontal_cov_deriv(field: TensorField, gs: GridStructure) -> TensorField:

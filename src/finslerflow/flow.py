@@ -158,7 +158,7 @@ def curvature_field(state: FlowState) -> np.ndarray:
 def flow_rhs(state: FlowState) -> np.ndarray:
     """d log F / dt = -(H(u,u) - c), with c = 0 in unnormalized mode."""
     gs = state.grid_structure()
-    huu = gs.huu_light
+    huu = gs.huu
     if state.mode == "normalized":
         c = gs.integrate(huu) / gs.volume
     else:
@@ -171,7 +171,7 @@ def dt_policy(state: FlowState) -> float:
     if state.safety <= 0:
         raise ValueError("safety factor must be positive")
     gs = state.grid_structure()
-    pre = float(np.max(np.abs(gs.huu_light)))
+    pre = float(np.max(np.abs(gs.huu)))
     h = min(state.bgrid.spacing)
     n = state.bgrid.n
     return state.safety * h * h / (2.0 * n * (1.0 + pre))
@@ -248,9 +248,9 @@ class FlowDiagnostics:
 
 def diagnostics(state: FlowState, gem_stride: int = 8) -> FlowDiagnostics:
     gs = state.grid_structure()
-    huu = gs.huu_light
+    huu = gs.huu
     V = gs.volume
-    I = gs.integrate(gs.h_tilde_light)
+    I = gs.integrate(gs.h_tilde)
     c = gs.integrate(huu) / V
     return FlowDiagnostics(
         step=state.step_index,
@@ -372,6 +372,8 @@ def uniform_scaling_flow(
     """
     from .curvature import ricci_directional
 
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     x0 = np.asarray(x0, dtype=float)
     y0 = np.array([np.cos(theta0), np.sin(theta0)])
 

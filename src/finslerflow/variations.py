@@ -18,7 +18,6 @@ from .algebra import contract
 from .fields import (
     GridStructure,
     TensorField,
-    cov_deriv_0,
     horizontal_cov_deriv,
     theta_derivative,
     fiber_partials,
@@ -121,8 +120,7 @@ def divergence_delta(h: VariationField | TensorField, gs: GridStructure) -> Tens
     t2 = contract("...kj,...j->...k", hdata, gs.nabla0_mean_cartan)
     # (nabla_0 C_kij) h^{ij}
     hup = contract("...ia,...jb,...ab->...ij", gi, gi, hdata)
-    Cdot = cov_deriv_0(TensorField(gs.cartan, (0, 3), -1), gs).data
-    t3 = contract("...kij,...ij->...k", Cdot, hup)
+    t3 = contract("...kij,...ij->...k", gs.nabla0_cartan, hup)
     # C_kij nabla_0 h^{ij}: metric compatibility lets nabla_0 act on h then raise
     nab0h = contract("...ikm,...m->...ik", nabh, gs.y)
     nab0hup = contract("...ia,...jb,...ab->...ij", gi, gi, nab0h)

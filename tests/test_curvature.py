@@ -61,9 +61,9 @@ def test_euler_consistency_and_q_identity(randers):
     u = ys / np.sqrt(F2)[..., None]
     htuu = np.einsum("...ij,...i,...j->...", cb.ricci_tilde, u, u)
     assert np.max(np.abs(htuu - cb.huu) / (1.0 + np.abs(cb.huu))) <= 1e-8
-    # dual route: light spray-trace H(u,u) against the full contraction
-    light = ff.ricci_directional(randers.structure, xs, ys)
-    np.testing.assert_allclose(light, cb.huu, rtol=1e-9, atol=1e-11)
+    # H(u,u) is read off the spray trace; check it against the hh contraction
+    full = np.einsum("...kjkl,...j,...l->...", cb.H, u, u)
+    np.testing.assert_allclose(cb.huu, full, rtol=1e-9, atol=1e-11)
     # Euler for the 2-homogeneous quadratic form
     Q = np.einsum("...ij,...i,...j->...", cb.ricci, ys, ys)
     np.testing.assert_allclose(

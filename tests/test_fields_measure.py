@@ -169,7 +169,7 @@ def _gem_gap_einsum(rt, g, ginv):
 
 def test_gem_gap_matches_einsum(gs_conformal, gs_randers, funk, sphere):
     for gs in (gs_conformal, gs_randers):
-        ref = _gem_gap_einsum(gs.ricci_tilde_light, gs.g, gs.ginv)
+        ref = _gem_gap_einsum(gs.ricci_tilde, gs.g, gs.ginv)
         assert np.array_equal(gs.gem_field, ref)
     for e in (funk, sphere):
         xs, ys = sample_points(e.structure, 24)
@@ -231,10 +231,20 @@ def test_cov_derivs_match_einsum_reference(randers, valence):
 
 
 def test_tilde_light_matches_full(gs_randers, gs_conformal):
+    """Htilde_ij from the spray trace against tilde of the H_ij contraction."""
     for gs in (gs_randers, gs_conformal):
-        np.testing.assert_allclose(
-            gs.ricci_tilde_light, gs.ricci_tilde, atol=1e-8
-        )
+        full = gs.tilde(np.einsum("...ij,...i,...j->...", gs.ricci, gs.y, gs.y))
+        np.testing.assert_allclose(gs.ricci_tilde, full, atol=1e-8)
+
+
+@pytest.mark.parametrize("N, mode, tol", [(32, "fd4", 2.5e-4), (48, "spectral", 3e-9)])
+def test_grid_h_tilde_accuracy(randers, N, mode, tol):
+    """Grid Htilde at 64 seeded nodes against the exact pointwise jets (randers, b = 0.3)."""
+    bg, fg = ff.build_grid(2, N, TWO_PI, N)
+    gs = GridStructure(randers.structure, bg, fg, base_mode=mode)
+    i, j, k = np.random.default_rng(0).integers(0, N, size=(3, 64))
+    ref = ff.curvature_bundle(randers.structure, gs.x_nodes[i, j], gs.e[k]).h_tilde
+    assert np.max(np.abs(gs.h_tilde[i, j, k] - ref)) <= tol
 
 
 def test_grid_curvature_vs_gauss_oracle(conformal, grids_medium):

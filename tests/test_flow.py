@@ -132,6 +132,12 @@ def test_uniform_sphere_normalized_stationary(sphere):
     assert np.max(np.abs(phis - 1.0)) <= 1e-10 * len(ts)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_uniform_scaling_rejects_nonpositive_dt(sphere, dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        uniform_scaling_flow(sphere.structure, [0.2, 0.1], 0.4, T=0.1, dt=dt)
+
+
 def test_riemannian_invariance_under_flow(conformal):
     st = make_state(conformal, N=16, NT=32, fiber_cut=4)
     traj = run_flow(st, steps=50, dt=2e-3)

@@ -6,7 +6,8 @@ renamed hook would leave its metric at zero without an error, so this runs
 the tracer on small calls in a child process (the patches are global) and
 asserts that the spans were recorded.  The grid properties that the
 connection stack defines for both engines (``mean_cartan``, ``p``, ``rho``,
-``huu_light``, ``min_eig_g``) and the pointwise tensors that read a
+``huu``, ``min_eig_g``), the trace-route ``ricci_tilde`` and ``h_tilde``
+that the flow diagnostics build, and the pointwise tensors that read a
 ``PointAssembly`` are covered too.
 """
 
@@ -61,8 +62,8 @@ def test_tracer_hooks_record_spans():
         "connections.point_assembly_s", "fields.g_s", "fields.G_s", "fields.ricci_scalar_s",
         "fields.gem_field_s", "fields.theta_derivative_s", "fields.fiber_partials_s",
         "grids.base_derivative_s", "structures.f2_jets_s", "curvature.curvature_bundle_s",
-        "fields.mean_cartan_s", "fields.p_s", "fields.rho_s", "fields.huu_light_s",
-        "fields.min_eig_g_s",
+        "fields.mean_cartan_s", "fields.p_s", "fields.rho_s", "fields.huu_s",
+        "fields.ricci_tilde_s", "fields.h_tilde_s", "fields.min_eig_g_s",
     ):
         assert metrics[name] > 0.0, name
     assert metrics["fields.grid_structures"] == 1
