@@ -12,14 +12,17 @@ and ``fT[..., idx, m] = d T_idx / dy^m``.  The structures are 2-dimensional.
 Index contractions go through :func:`contract`, which takes ``einsum``'s
 ``'...'`` subscripts and sums products of component planes: on many 2 x 2
 blocks ``einsum`` costs several times the arithmetic.  The spray ``G``,
-:func:`spray_trace`, the jet ``Q`` and the grid ``tilde`` keep their
-``einsum`` forms, :func:`gem_gap` is written out, and
+:func:`spray_trace` and the jet ``Q`` keep their ``einsum`` forms,
+:func:`gem_gap` and the grid ``tilde`` are written out by component, and
 :mod:`finslerflow.oracles` stays on ``np.einsum`` so that its cross-checks
 share no code with this one.
 
 H(u,u), Htilde_ij and Htilde are read off the spray trace
 R^k_k = H_rs y^r y^s on both engines; the hh-curvature and Ricci tensor are
-kept for the pointwise bundle, whose jet ``Q`` feeds ``tilde``.
+kept for the pointwise bundle, whose jet ``Q`` feeds ``tilde``.  The grid
+overrides ``g``, ``rho`` and ``ricci_scalar`` with their closed forms on a
+surface (see :mod:`finslerflow.fields`); :func:`spray_trace` serves the jets
+and is the tests' reference for the grid's R^k_k.
 """
 
 from __future__ import annotations
@@ -310,10 +313,14 @@ class ConnectionStack:
 
 
 def min_eig(g: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of symmetric 2 x 2 matrices, in closed form."""
-    tr = g[..., 0, 0] + g[..., 1, 1]
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    return tr / 2.0 - np.sqrt(np.maximum(tr * tr / 4.0 - det, 0.0))
+    """Smallest eigenvalue of symmetric 2 x 2 matrices, in closed form.
+
+    The discriminant is summed as ((a - d)/2)^2 + b^2, not tr^2/4 - det,
+    which cancels to half its digits on near-isotropic g.
+    """
+    a, b, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+    h = 0.5 * (a - d)
+    return 0.5 * (a + d) - np.sqrt(h * h + b * b)
 
 
 def christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:

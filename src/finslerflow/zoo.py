@@ -37,10 +37,6 @@ class ZooEntry:
     def __getattr__(self, item):
         return getattr(self.structure, item)
 
-    @property
-    def is_riemannian(self) -> bool:
-        return "riemannian" in self.flags
-
     def describe(self) -> str:
         fl = ",".join(sorted(self.flags)) or "-"
         return f"{self.structure.name}  n={self.structure.n}  {self.structure.chart.describe()}  [{fl}]"

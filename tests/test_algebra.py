@@ -97,6 +97,16 @@ def test_contract_broadcast_leads():
     _check_against_einsum("...ij,...ijk->...k", H[0, 0, 0, 0], H[0, 0, 0])
 
 
+def test_min_eig_near_isotropic():
+    """The closed-form smallest eigenvalue keeps its digits on lambda I plus 1e-12."""
+    rng = np.random.default_rng(5)
+    lam = rng.uniform(0.5, 2.0, size=256)
+    dg = 1e-12 * rng.standard_normal((256, 2, 2))
+    g = lam[:, None, None] * np.eye(2) + dg + np.swapaxes(dg, -1, -2)
+    want = np.linalg.eigvalsh(g)[:, 0]
+    assert np.max(np.abs(algebra.min_eig(g) - want) / want) <= 1e-14
+
+
 def _ricci_einsum(g, ginv, H):
     M = np.einsum("...ks,...rkjs->...rj", ginv, H)
     return np.einsum("...ir,...rj->...ij", g, M)

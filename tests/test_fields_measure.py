@@ -5,7 +5,13 @@ import pytest
 
 import finslerflow as ff
 from finslerflow import algebra
-from finslerflow.fields import GridStructure, TensorField, cov_deriv_0, horizontal_cov_deriv
+from finslerflow.fields import (
+    GridStructure,
+    TensorField,
+    cov_deriv_0,
+    horizontal_cov_deriv,
+    theta_derivative,
+)
 from finslerflow.grids import GridError
 from finslerflow.jets import cos_, sin_, sqrt_
 from finslerflow.measure import (
@@ -235,6 +241,53 @@ def test_tilde_light_matches_full(gs_randers, gs_conformal):
     for gs in (gs_randers, gs_conformal):
         full = gs.tilde(np.einsum("...ij,...i,...j->...", gs.ricci, gs.y, gs.y))
         np.testing.assert_allclose(gs.ricci_tilde, full, atol=1e-8)
+
+
+def _tilde_einsum(gs, q):
+    """Reference: the ``np.einsum`` outer-product form of ``GridStructure.tilde``."""
+    q1 = theta_derivative(q, 1)
+    q2 = theta_derivative(q, 2)
+    e = gs.y
+    ep = gs.eperp[None, None, :, :]
+    sym = np.einsum("...i,...j->...ij", e, ep)
+    sym = sym + np.swapaxes(sym, -1, -2)
+    return (
+        q[..., None, None] * np.eye(2)
+        + 0.5 * q1[..., None, None] * sym
+        + 0.5 * q2[..., None, None] * np.einsum("...i,...j->...ij", ep, ep)
+    )
+
+
+def test_tilde_matches_einsum(gs_randers, gs_conformal):
+    """The plane-wise ``tilde`` gives the einsum form's bits."""
+    q = np.random.default_rng(11).standard_normal(gs_randers.F2.shape)
+    for gs, field in ((gs_randers, gs_randers.Q), (gs_conformal, gs_conformal.Q), (gs_randers, q)):
+        assert np.array_equal(gs.tilde(field), _tilde_einsum(gs, field))
+
+
+@pytest.mark.parametrize("name, params", [("randers-torus", {"b": 0.3}), ("conformal-torus", {})])
+def test_polar_forms_match_tensor_route(name, params):
+    """The grid's closed-form g, rho and R^k_k against the tensor stack (spectral, 32^3)."""
+    bg, fg = ff.build_grid(2, 32, TWO_PI, 32)
+    gs = GridStructure(ff.get_entry(name, **params).structure, bg, fg, base_mode="spectral")
+    ref = algebra.spray_trace(gs.y, gs.G, gs.base(gs.G), gs.Gj, gs.base(gs.Gj), gs.Gjk)
+    assert np.max(np.abs(gs.ricci_scalar - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert np.max(np.abs(gs.g - 0.5 * gs.fiber(gs.fiber(gs.F2, 2), 1))) <= 1e-12
+    p, pt = gs.p, gs.dtheta(gs.p)
+    assert np.max(np.abs(gs.rho - (p[..., 0] * pt[..., 1] - p[..., 1] * pt[..., 0]))) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["fd4", "spectral"])
+@pytest.mark.parametrize(
+    "name, params",
+    [("randers-torus", {"b": 0.3}), ("randers-torus", {"b": 0.6}), ("conformal-torus", {})],
+)
+def test_functional_is_twice_integrated_huu(name, params, mode):
+    """In 2-D, I = 2 int H(u,u) eta: at each x, int Htilde rho dtheta = 2 int W R^k_k dtheta."""
+    bg, fg = ff.build_grid(2, 32, TWO_PI, 48)
+    gs = GridStructure(ff.get_entry(name, **params).structure, bg, fg, base_mode=mode)
+    gap = abs(functional_report(gs).I - 2.0 * gs.integrate(gs.huu))
+    assert gap <= 1e-12 * gs.integrate(np.abs(gs.h_tilde))
 
 
 @pytest.mark.parametrize("N, mode, tol", [(32, "fd4", 2.5e-4), (48, "spectral", 3e-9)])

@@ -8,7 +8,9 @@ asserts that the spans were recorded.  The grid properties that the
 connection stack defines for both engines (``mean_cartan``, ``p``, ``rho``,
 ``huu``, ``min_eig_g``), the trace-route ``ricci_tilde`` and ``h_tilde``
 that the flow diagnostics build, and the pointwise tensors that read a
-``PointAssembly`` are covered too.
+``PointAssembly`` are covered too.  The flow diagnostics read the grid's
+closed-form ``g``, ``rho`` and ``ricci_scalar`` and build no spray, so the
+child builds ``p`` and the spray ``G`` (with its fiber partials) itself.
 """
 
 import json
@@ -38,7 +40,8 @@ curvature_bundle(get_entry("funk-disk").structure, np.array([0.2, 0.1]), np.arra
 bg, fg = build_grid(2, 16, 2 * np.pi, 16)
 state = encode_state(get_entry("conformal-torus").structure, bg, fg)
 diagnostics(state, gem_stride=4)
-state.grid_structure().mean_cartan
+gs = state.grid_structure()
+gs.mean_cartan, gs.p, gs.G
 randers = get_entry("randers-torus").structure
 tracer.op = 1
 fundamental_tensor(randers, np.array([0.3, 1.1]), np.array([0.6, 0.8]))
