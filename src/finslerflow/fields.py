@@ -22,8 +22,6 @@ variational side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from . import algebra
@@ -160,14 +158,15 @@ class GridStructure(algebra.ConnectionStack):
     # Dperp = -sin d_1 + cos d_2 at fixed theta, and W = 1 + u'' + u'^2, the
     # metric, the Liouville density and the spray trace are scalars of u in
     # the frame (e, eperp) at y = e(theta) (Bao, Chern & Shen, GTM 200,
-    # ch. 4), so the flow's route builds no spray tensor.  The u-derivatives
-    # are plain cached attributes: their time counts toward the quantity
-    # that first needs them.
+    # ch. 4), so the flow's route builds no spray tensor.
 
-    @cached_property
+    @property
     def _u_theta(self):
         """(u', u'')."""
-        return theta_derivative(self.logF, 1), theta_derivative(self.logF, 2)
+        return self._get(
+            "u_theta",
+            lambda: (theta_derivative(self.logF, 1), theta_derivative(self.logF, 2)),
+        )
 
     def _frame_dx(self, f: np.ndarray):
         """(D f, Dperp f)."""
@@ -175,15 +174,17 @@ class GridStructure(algebra.ConnectionStack):
         d1, d2 = self.dx(f, 0), self.dx(f, 1)
         return c * d1 + s * d2, c * d2 - s * d1
 
-    @cached_property
+    @property
     def _u_frame(self):
         """(D u, Dperp u, D u').
 
         d_k u is taken as d_k(F^2) / 2F^2: FD4 on F^2 is 3x closer than FD4 on
         u on randers-torus, and the tensor route differentiates F^2 too.
         """
-        Du, Dpu = (d / (2.0 * self.F2) for d in self._frame_dx(self.F2))
-        return Du, Dpu, theta_derivative(Du) - Dpu
+        def build():
+            Du, Dpu = (d / (2.0 * self.F2) for d in self._frame_dx(self.F2))
+            return Du, Dpu, theta_derivative(Du) - Dpu
+        return self._get("u_frame", build)
 
     @property
     def g(self):
@@ -214,9 +215,11 @@ class GridStructure(algebra.ConnectionStack):
 
         R^k_k = -D P + 2 Dperp Q - D Q' + P^2 + 2 Q P' + 2 Q Q'' + 4 Q^2 - Q'^2,
         with P = [(1 + u'') Du - u' Du' + u' Dperp u] / 2W and
-        Q = [u' Du + Du' - Dperp u] / 2W.
+        Q = [u' Du + Du' - Dperp u] / 2W.  Raises unless g is positive
+        definite, as the tensor route does through g^-1.
         """
         def build():
+            self.require_spd()
             u1, u2 = self._u_theta
             Du, Dpu, Du1 = self._u_frame
             W2 = 2.0 * (1.0 + u2 + u1 * u1)

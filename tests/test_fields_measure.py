@@ -392,3 +392,7 @@ def test_grid_singular_metric_names_node(grids_small):
         gs.ginv
     assert info.value.min_eig == lam.min() == gs.min_eig_g
     assert info.value.where == np.unravel_index(np.argmin(lam), lam.shape)
+    # the closed-form curvature checks g too, so H(u,u) never reads a non-convex state
+    with pytest.raises(SingularMetricError) as info:
+        GridStructure(logF, bg, fg).huu
+    assert info.value.min_eig == lam.min()

@@ -12,6 +12,7 @@ from finslerflow.fields import GridStructure
 from finslerflow.flow import (
     FlowDiagnostics,
     FlowError,
+    FlowState,
     diagnostics,
     dt_policy,
     encode_state,
@@ -197,6 +198,26 @@ def test_step_rejection_on_convexity_loss():
     assert new.t > st.t
     gs = new.grid_structure()
     assert gs.min_eig_g > 0
+
+
+def test_rk4_stage_convexity_loss_rejects_step(monkeypatch):
+    # k1 carries the flat state past convexity at the half-step stage s2 but
+    # not at the candidate (which moves dt/6 * k1): the stage's curvature
+    # raises, so the step is halved instead of accepting an update built on
+    # a non-convex state
+    import finslerflow.flow as flow_mod
+
+    bg, fg = ff.build_grid(2, 16, TWO_PI, 32)
+    st = FlowState(bg, fg, np.zeros(bg.shape + (fg.n_theta,)), stepper="rk4")
+    dt = 1e-3
+    bump = np.broadcast_to(0.2 / dt * np.cos(4.0 * fg.thetas), st.logF.shape)  # s2: 0.1 cos 4theta
+    real_rhs = flow_mod.flow_rhs
+    monkeypatch.setattr(flow_mod, "flow_rhs", lambda s: bump if s is st else real_rhs(s))
+    assert GridStructure(st.logF + 0.5 * dt * bump, bg, fg).min_eig_g < 0
+    assert GridStructure(st.logF + dt / 6.0 * bump, bg, fg).min_eig_g > 0
+    new = step(st, dt)
+    assert new.t == 0.5 * dt
+    assert new.grid_structure().min_eig_g > 0
 
 
 def test_step_failure_names_its_cause(conformal):
