@@ -20,9 +20,11 @@ share no code with this one.
 H(u,u), Htilde_ij and Htilde are read off the spray trace
 R^k_k = H_rs y^r y^s on both engines; the hh-curvature and Ricci tensor are
 kept for the pointwise bundle, whose jet ``Q`` feeds ``tilde``.  The grid
-overrides ``g``, ``rho`` and ``ricci_scalar`` with their closed forms on a
-surface (see :mod:`finslerflow.fields`); :func:`spray_trace` serves the jets
-and is the tests' reference for the grid's R^k_k.
+overrides ``g``, ``min_eig_field``, ``rho``, ``ricci_scalar`` and
+``h_tilde`` with their closed forms on a surface, and reads its GEM gap in
+closed form too (see :mod:`finslerflow.fields`); :func:`spray_trace`,
+:func:`gem_gap` and :func:`min_eig` serve the jets and are the tests'
+references for the grid's forms.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .structures import SingularMetricError
 
 __all__ = [
     "ConnectionStack", "christoffel", "cartan_hcoeffs", "spray_trace", "hh_curvature",
-    "ricci", "gem_gap", "min_eig",
+    "ricci", "gem_gap", "min_eig", "sym2_min_eig",
 ]
 
 
@@ -139,19 +141,23 @@ class ConnectionStack:
         return self._get("g", lambda: 0.5 * self.fiber(self.fiber(self.F2, 2), 1))
 
     @property
+    def min_eig_field(self) -> np.ndarray:
+        """Smallest eigenvalue of g at each point, as floats."""
+        return self._get("min_eig_field", lambda: min_eig(self.values(self.g)))
+
+    @property
     def min_eig_g(self) -> float:
         """Smallest eigenvalue of g over all points; NaN if g is NaN anywhere."""
-        return self._get("min_eig_g", lambda: float(np.min(min_eig(self.values(self.g)))))
+        return self._get("min_eig_g", lambda: float(np.min(self.min_eig_field)))
 
     def require_spd(self) -> None:
         """Raise SingularMetricError unless g is positive definite at every point.
 
-        The error names the worst point, a NaN one first; it is located only
-        on failure.
+        The error names the worst point, a NaN one first.
         """
         if self.min_eig_g > 0.0:
             return
-        lam = min_eig(self.values(self.g))
+        lam = self.min_eig_field
         k = np.unravel_index(np.argmin(np.where(np.isnan(lam), -np.inf, lam)), lam.shape)
         raise SingularMetricError(float(lam[k]), where=tuple(map(int, k)) or None)
 
@@ -313,12 +319,16 @@ class ConnectionStack:
 
 
 def min_eig(g: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of symmetric 2 x 2 matrices, in closed form.
+    """Smallest eigenvalue of symmetric 2 x 2 matrices, in closed form."""
+    return sym2_min_eig(g[..., 0, 0], g[..., 0, 1], g[..., 1, 1])
+
+
+def sym2_min_eig(a, b, d):
+    """Smallest eigenvalue of [[a, b], [b, d]], componentwise.
 
     The discriminant is summed as ((a - d)/2)^2 + b^2, not tr^2/4 - det,
-    which cancels to half its digits on near-isotropic g.
+    which cancels to half its digits on near-isotropic matrices.
     """
-    a, b, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
     h = 0.5 * (a - d)
     return 0.5 * (a + d) - np.sqrt(h * h + b * b)
 

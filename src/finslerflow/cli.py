@@ -310,7 +310,7 @@ def cmd_flow(args) -> int:
         fh.write("\n".join(rows) + "\n")
     os.replace(tmp, csv_path)
     if traj.failure:
-        _error_record(EXIT_NUMERICAL, traj.failure)
+        _error_record(EXIT_NUMERICAL, traj.failure, detail=traj.failure_detail)
         return EXIT_NUMERICAL
     print(f"wrote {csv_path} ({len(rows) - 1} rows)")
     return EXIT_OK

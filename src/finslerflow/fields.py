@@ -11,12 +11,14 @@ with e = (cos, sin), eperp = (-sin, cos), and w' spectral.  Base derivatives
 go through the configured grid engine (4th-order periodic FD by default,
 spectral opt-in).
 
-``GridStructure`` reads g, the Liouville density and the spray trace R^k_k
-in closed form in the frame (e, eperp), from u = log F and its derivatives;
-``ginv``, ``min_eig_g``, ``huu``, ``ricci_tilde``, ``h_tilde`` and
-``gem_field`` read those, so the flow's route builds no spray tensor.  The
-spray G, G^i_j, G^i_jk and the covariant derivatives stay lazy for the
-variational side.
+``GridStructure`` reads g, the smallest eigenvalue of g, the Liouville
+density, the spray trace R^k_k, Htilde and the GEM gap in closed form in the
+frame (e, eperp), from u = log F and its derivatives, so the flow's route
+(``huu``, ``h_tilde``, ``gem_field``, ``min_eig_g``, ``require_spd``) builds
+no spray tensor and no 2 x 2 field.  The Cartesian g, ``ginv``,
+``ricci_tilde``, the spray G, G^i_j, G^i_jk and the covariant derivatives
+stay lazy for the variational side.  ``theta_derivative`` takes a tuple of
+orders, so that u', u'' (and R', R'', Q', Q'') share one rfft.
 """
 
 from __future__ import annotations
@@ -37,8 +39,11 @@ __all__ = [
 ]
 
 
-def theta_derivative(w: np.ndarray, order: int = 1, axis: int = 2) -> np.ndarray:
-    """Spectral derivative along the fiber angle axis (period 2*pi)."""
+def theta_derivative(w: np.ndarray, order=1, axis: int = 2):
+    """Spectral derivative along the fiber angle axis (period 2*pi).
+
+    A tuple of orders gives one array per order from a single rfft.
+    """
     return _spectral(w, axis, 2.0 * np.pi, order)
 
 
@@ -142,8 +147,7 @@ class GridStructure(algebra.ConnectionStack):
         Htilde = q I + q'/2 (e ox eperp + eperp ox e) + q''/2 (eperp ox eperp),
         summed by component plane.
         """
-        h1 = 0.5 * theta_derivative(q, 1)
-        h2 = 0.5 * theta_derivative(q, 2)
+        h1, h2 = (0.5 * d for d in theta_derivative(q, (1, 2)))
         e, ep = self.e, self.eperp
         out = np.empty(q.shape + (2, 2))
         for i, j in ((0, 0), (0, 1), (1, 1)):
@@ -156,17 +160,17 @@ class GridStructure(algebra.ConnectionStack):
     # -- polar closed forms ---------------------------------------------------
     # With u = log F(x, theta), primes for d/dtheta, D = cos d_1 + sin d_2 and
     # Dperp = -sin d_1 + cos d_2 at fixed theta, and W = 1 + u'' + u'^2, the
-    # metric, the Liouville density and the spray trace are scalars of u in
-    # the frame (e, eperp) at y = e(theta) (Bao, Chern & Shen, GTM 200,
-    # ch. 4), so the flow's route builds no spray tensor.
+    # metric, the Liouville density, the spray trace and Htilde_ij are
+    # scalars of u in the frame (e, eperp) at y = e(theta) (Bao, Chern &
+    # Shen, GTM 200, ch. 4), so the flow's route builds no tensor field.
 
     @property
     def _u_theta(self):
-        """(u', u'')."""
-        return self._get(
-            "u_theta",
-            lambda: (theta_derivative(self.logF, 1), theta_derivative(self.logF, 2)),
-        )
+        """(u', u'', a) with a = 1 + u'' + 2u'^2, so that g = e^{2u} [[1, u'], [u', a]]."""
+        def build():
+            u1, u2 = theta_derivative(self.logF, (1, 2))
+            return u1, u2, 1.0 + u2 + 2.0 * u1 * u1
+        return self._get("u_theta", build)
 
     def _frame_dx(self, f: np.ndarray):
         """(D f, Dperp f)."""
@@ -190,8 +194,8 @@ class GridStructure(algebra.ConnectionStack):
     def g(self):
         """e^{2u} [[1, u'], [u', 1 + u'' + 2u'^2]] in the frame, in Cartesian components."""
         def build():
-            u1, u2 = self._u_theta
-            gee, gep, gpp = self.F2, self.F2 * u1, self.F2 * (1.0 + u2 + 2.0 * u1 * u1)
+            u1, _, a = self._u_theta
+            gee, gep, gpp = self.F2, self.F2 * u1, self.F2 * a
             c, s = self.e.T
             cc, cs, ss = c * c, c * s, s * s
             out = np.empty(self.F2.shape + (2, 2))
@@ -205,7 +209,7 @@ class GridStructure(algebra.ConnectionStack):
     def rho(self) -> np.ndarray:
         """Liouville density e^{2u} W."""
         def build():
-            u1, u2 = self._u_theta
+            u1, u2, _ = self._u_theta
             return self.F2 * (1.0 + u2 + u1 * u1)
         return self._get("rho", build)
 
@@ -220,20 +224,71 @@ class GridStructure(algebra.ConnectionStack):
         """
         def build():
             self.require_spd()
-            u1, u2 = self._u_theta
+            u1, u2, _ = self._u_theta
             Du, Dpu, Du1 = self._u_frame
             W2 = 2.0 * (1.0 + u2 + u1 * u1)
             P = ((1.0 + u2) * Du - u1 * Du1 + u1 * Dpu) / W2
             Q = (u1 * Du + Du1 - Dpu) / W2
             DP, _ = self._frame_dx(P)
             DQ, DpQ = self._frame_dx(Q)
-            Q1 = theta_derivative(Q, 1)
+            Q1, Q2 = theta_derivative(Q, (1, 2))
             return (
                 -DP + 2.0 * DpQ - (theta_derivative(DQ) - DpQ) + P * P
-                + 2.0 * Q * theta_derivative(P) + 2.0 * Q * theta_derivative(Q, 2)
+                + 2.0 * Q * theta_derivative(P) + 2.0 * Q * Q2
                 + 4.0 * Q * Q - Q1 * Q1
             )
         return self._get("ricci_scalar", build)
+
+    @property
+    def min_eig_field(self) -> np.ndarray:
+        """e^{2u} lambda_min([[1, u'], [u', a]]), as (e, eperp) is orthonormal."""
+        def build():
+            u1, _, a = self._u_theta
+            return self.F2 * algebra.sym2_min_eig(1.0, u1, a)
+        return self._get("min_eig_field", build)
+
+    @property
+    def _R_theta(self):
+        """(R', R'') of R = R^k_k.
+
+        In the frame, Htilde_ij = [[R, R'/2], [R'/2, R + R''/2]] and
+        g^-1 = [[a, -u'], [-u', 1]] / rho.
+        """
+        return self._get("R_theta", lambda: theta_derivative(self.ricci_scalar, (1, 2)))
+
+    @property
+    def h_tilde(self) -> np.ndarray:
+        """Htilde = [(2 + u'' + 2u'^2) R - u'R' + R''/2] / rho, with R = R^k_k."""
+        def build():
+            u1, _, a = self._u_theta
+            R, (R1, R2) = self.ricci_scalar, self._R_theta
+            return ((1.0 + a) * R - u1 * R1 + 0.5 * R2) / self.rho
+        return self._get("h_tilde", build)
+
+    @property
+    def gem_field(self) -> np.ndarray:
+        """Max over (i, j) of |g^{ia} Htilde_aj - (Htilde/2) delta^i_j|, in Cartesian components.
+
+        In the frame this mixed tensor is [[m, p], [q, -m]] / rho with
+        m = ((a - 1) R - R''/2) / 2, p = aR'/2 - u'(R + R''/2) and
+        q = R'/2 - u'R.  Its symmetric part turns by 2 theta into Cartesian
+        components and its skew part (p - q)/2 by nothing; the max over
+        components is not rotation-invariant, so it is taken there, as
+        max(|M_00|, |M_01| + |skew|) with M_01 the symmetric off-diagonal.
+        """
+        def build():
+            u1, _, a = self._u_theta
+            R, (R1, R2) = self.ricci_scalar, self._R_theta
+            h = 0.5 * R2
+            m = 0.5 * ((a - 1.0) * R - h)
+            p = 0.5 * a * R1 - u1 * (R + h)
+            q = 0.5 * R1 - u1 * R
+            k, skew = 0.5 * (p + q), np.abs(0.5 * (p - q))
+            c2, s2 = np.cos(2.0 * self.thetas), np.sin(2.0 * self.thetas)
+            diag = np.abs(m * c2 - k * s2)
+            off = np.abs(m * s2 + k * c2)
+            return np.maximum(diag, off + skew) / self.rho
+        return self._get("gem_field", build)
 
     @property
     def weight(self) -> float:
@@ -260,13 +315,6 @@ class GridStructure(algebra.ConnectionStack):
         ``h_tilde`` and ``h_hat`` skip the 4-index hh field.
         """
         return self.ricci_scalar
-
-    @property
-    def gem_field(self) -> np.ndarray:
-        """Metric-normalized |Htilde_ij - (Htilde/n) g_ij| field."""
-        return self._get(
-            "gem_field", lambda: algebra.gem_gap(self.ricci_tilde, self.g, self.ginv)
-        )
 
     def gem_residual(self, stride: int = 1) -> float:
         """Sup over (sub-sampled) base nodes and the full fiber."""

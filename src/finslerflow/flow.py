@@ -303,9 +303,26 @@ def tensor_flow_gap(state: FlowState) -> float:
 
 @dataclass
 class Trajectory:
+    """The diagnostics rows, the last accepted state and, on failure, its record.
+
+    ``failure_detail`` holds the failed step, its start time t and the type
+    of the last rejection; a ``SingularMetricError`` adds its ``min_eig`` and
+    the grid index ``where`` of that eigenvalue.
+    """
+
     rows: list
     final_state: FlowState
     failure: str | None = None
+    failure_detail: dict | None = None
+
+
+def _failure_detail(k: int, state: FlowState, exc: Exception) -> dict:
+    last = exc.__cause__ if isinstance(exc, FlowError) and exc.__cause__ is not None else exc
+    detail = {"step": k, "t": state.t, "error": type(last).__name__}
+    if isinstance(last, SingularMetricError):
+        detail["min_eig"] = last.min_eig
+        detail["where"] = None if last.where is None else [int(i) for i in last.where]
+    return detail
 
 
 def run_flow(
@@ -320,8 +337,9 @@ def run_flow(
     """Apply ``step`` repeatedly, emitting diagnostics per step.
 
     Emits steps + 1 diagnostic rows (including the initial state).  ``dt``
-    fixed if given, else from :func:`dt_policy` each step.  Deterministic for
-    identical configuration.
+    fixed if given, else from :func:`dt_policy` each step.  A failure ends
+    the run and is recorded, as step 0 if the initial state fails its
+    diagnostics.  Deterministic for identical configuration.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -332,24 +350,25 @@ def run_flow(
         if sink is not None:
             sink(d)
 
-    emit(diagnostics(state, gem_stride))
-    failure = None
-    for k in range(steps):
-        try:
+    failure = detail = None
+    k = 0
+    try:
+        emit(diagnostics(state, gem_stride))
+        for k in range(1, steps + 1):
             dtk = dt if dt is not None else dt_policy(state)
             state = step(state, dtk)
-        except (FlowError, SingularMetricError, GridError) as exc:
-            failure = f"step {k + 1}: {exc}"
-            break
-        emit(diagnostics(state, gem_stride))
-        if checkpoint_every and checkpoint_dir and (k + 1) % checkpoint_every == 0:
-            write_checkpoint(
-                os.path.join(checkpoint_dir, f"checkpoint_{state.step_index:06d}.json"),
-                state,
-            )
+            emit(diagnostics(state, gem_stride))
+            if checkpoint_every and checkpoint_dir and k % checkpoint_every == 0:
+                write_checkpoint(
+                    os.path.join(checkpoint_dir, f"checkpoint_{state.step_index:06d}.json"),
+                    state,
+                )
+    except (FlowError, SingularMetricError, GridError) as exc:
+        failure = f"step {k}: {exc}"
+        detail = _failure_detail(k, state, exc)
     if checkpoint_dir:
         write_checkpoint(os.path.join(checkpoint_dir, "checkpoint_final.json"), state)
-    return Trajectory(rows=rows, final_state=state, failure=failure)
+    return Trajectory(rows=rows, final_state=state, failure=failure, failure_detail=detail)
 
 
 # ---------------------------------------------------------------------------

@@ -110,18 +110,23 @@ def _fd4_second(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (-r(2) + 16.0 * r(1) - 30.0 * f + 16.0 * r(-1) - r(-2)) / (12.0 * h * h)
 
 
-def _spectral(f: np.ndarray, axis: int, L: float, order: int) -> np.ndarray:
+def _spectral(f: np.ndarray, axis: int, L: float, order):
+    """Derivative of the trigonometric interpolant along ``axis`` (period L).
+
+    A tuple of orders gives one array per order, all from one rfft of f.
+    """
+    orders = order if isinstance(order, tuple) else (order,)
     N = f.shape[axis]
     fh = np.fft.rfft(f, axis=axis)
-    k = 2.0 * np.pi / L * np.arange(fh.shape[axis])
-    if order % 2 == 1 and N % 2 == 0:
-        k = k.copy()
-        k[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
-    mult = (1j * k) ** order
     sh = [1] * fh.ndim
-    sh[axis] = len(k)
-    fh = fh * mult.reshape(sh)
-    return np.fft.irfft(fh, n=N, axis=axis)
+    sh[axis] = fh.shape[axis]
+    out = []
+    for m in orders:
+        k = 2.0 * np.pi / L * np.arange(fh.shape[axis])
+        if m % 2 == 1 and N % 2 == 0:
+            k[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
+        out.append(np.fft.irfft(fh * ((1j * k) ** m).reshape(sh), n=N, axis=axis))
+    return tuple(out) if isinstance(order, tuple) else out[0]
 
 
 def base_derivative(

@@ -105,6 +105,19 @@ def test_flow_failure_names_its_cause(capsys, tmp_path):
     assert "GridError: F^2 must be finite and positive" in rec["error"]
 
 
+def test_flow_failure_record_carries_detail(capsys, tmp_path):
+    out_dir = str(tmp_path / "run")
+    code, _, err = run_cli(
+        capsys, "flow", "--metric", "conformal-torus", "--grid", "16,16,32",
+        "--steps", "2", "--dt", "1e6", "--out", out_dir,
+    )
+    assert code == 1
+    rec = json.loads(err.strip())
+    assert rec["detail"] == {"step": 1, "t": 0.0, "error": "GridError"}
+    # the CSV still holds the initial row
+    assert len(Path(out_dir, "diagnostics.csv").read_text().splitlines()) == 2
+
+
 def test_flow_determinism_byte_identical(capsys, tmp_path):
     outs = []
     for tag in ("a", "b"):

@@ -176,7 +176,7 @@ def _gem_gap_einsum(rt, g, ginv):
 def test_gem_gap_matches_einsum(gs_conformal, gs_randers, funk, sphere):
     for gs in (gs_conformal, gs_randers):
         ref = _gem_gap_einsum(gs.ricci_tilde, gs.g, gs.ginv)
-        assert np.array_equal(gs.gem_field, ref)
+        assert np.array_equal(algebra.gem_gap(gs.ricci_tilde, gs.g, gs.ginv), ref)
     for e in (funk, sphere):
         xs, ys = sample_points(e.structure, 24)
         cb = ff.curvature_bundle(e.structure, xs, ys)
@@ -243,6 +243,26 @@ def test_tilde_light_matches_full(gs_randers, gs_conformal):
         np.testing.assert_allclose(gs.ricci_tilde, full, atol=1e-8)
 
 
+def _theta_derivative_one(w, m):
+    """Reference: one rfft per derivative order, along the last axis."""
+    n = w.shape[-1]
+    k = np.arange(n // 2 + 1, dtype=float)
+    if m % 2 == 1 and n % 2 == 0:
+        k[-1] = 0.0
+    return np.fft.irfft(np.fft.rfft(w, axis=-1) * (1j * k) ** m, n=n, axis=-1)
+
+
+@pytest.mark.parametrize("n_theta", [32, 31])
+def test_theta_derivative_orders_share_one_fft(n_theta):
+    """A tuple of orders gives the bits of one call per order; even n_theta has a Nyquist mode."""
+    w = np.random.default_rng(5).standard_normal((3, 4, n_theta))
+    got = theta_derivative(w, (1, 2, 3))
+    assert len(got) == 3
+    for m, d in zip((1, 2, 3), got):
+        assert np.array_equal(d, theta_derivative(w, m))
+        assert np.array_equal(d, _theta_derivative_one(w, m))
+
+
 def _tilde_einsum(gs, q):
     """Reference: the ``np.einsum`` outer-product form of ``GridStructure.tilde``."""
     q1 = theta_derivative(q, 1)
@@ -267,14 +287,29 @@ def test_tilde_matches_einsum(gs_randers, gs_conformal):
 
 @pytest.mark.parametrize("name, params", [("randers-torus", {"b": 0.3}), ("conformal-torus", {})])
 def test_polar_forms_match_tensor_route(name, params):
-    """The grid's closed-form g, rho and R^k_k against the tensor stack (spectral, 32^3)."""
+    """The grid's closed forms against the tensor stack (32^3, fd4 and spectral).
+
+    g, rho and R^k_k against the spray stack; Htilde, the GEM gap and the
+    smallest eigenvalue of g against the Cartesian tensors built from the
+    same R^k_k.  The GEM gap of a Riemannian metric is roundoff, so it is
+    held to the scale of Htilde.
+    """
     bg, fg = ff.build_grid(2, 32, TWO_PI, 32)
-    gs = GridStructure(ff.get_entry(name, **params).structure, bg, fg, base_mode="spectral")
-    ref = algebra.spray_trace(gs.y, gs.G, gs.base(gs.G), gs.Gj, gs.base(gs.Gj), gs.Gjk)
-    assert np.max(np.abs(gs.ricci_scalar - ref)) <= 1e-9 * np.max(np.abs(ref))
-    assert np.max(np.abs(gs.g - 0.5 * gs.fiber(gs.fiber(gs.F2, 2), 1))) <= 1e-12
-    p, pt = gs.p, gs.dtheta(gs.p)
-    assert np.max(np.abs(gs.rho - (p[..., 0] * pt[..., 1] - p[..., 1] * pt[..., 0]))) <= 1e-12
+    for mode in ("fd4", "spectral"):
+        gs = GridStructure(ff.get_entry(name, **params).structure, bg, fg, base_mode=mode)
+        ref = algebra.spray_trace(gs.y, gs.G, gs.base(gs.G), gs.Gj, gs.base(gs.Gj), gs.Gjk)
+        assert np.max(np.abs(gs.ricci_scalar - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert np.max(np.abs(gs.g - 0.5 * gs.fiber(gs.fiber(gs.F2, 2), 1))) <= 1e-12
+        p, pt = gs.p, gs.dtheta(gs.p)
+        rho = p[..., 0] * pt[..., 1] - p[..., 1] * pt[..., 0]
+        assert np.max(np.abs(gs.rho - rho)) <= 1e-12
+        ht = algebra.contract("...ij,...ij->...", gs.ginv, gs.ricci_tilde)
+        scale = np.max(np.abs(ht))
+        assert np.max(np.abs(gs.h_tilde - ht)) <= 1e-13 * scale
+        gem = algebra.gem_gap(gs.ricci_tilde, gs.g, gs.ginv)
+        assert np.max(np.abs(gs.gem_field - gem)) <= 1e-13 * max(np.max(gem), scale)
+        lam = algebra.min_eig(gs.g)
+        assert np.max(np.abs(gs.min_eig_field - lam) / np.abs(lam)) <= 1e-14
 
 
 @pytest.mark.parametrize("mode", ["fd4", "spectral"])
@@ -383,16 +418,18 @@ def test_grid_singular_metric_names_node(grids_small):
 
     bg, fg = grids_small
     x = bg.nodes()
-    amp = 0.05 + 0.05 * (1.0 + np.cos(x[..., 0]))  # convex only where amp < 1/15
+    amp = 0.05 + 0.05 * (1.0 + np.cos(x[..., 0]))  # convex only where amp < 1/16
     logF = amp[..., None] * np.cos(4.0 * fg.thetas)
     gs = GridStructure(logF, bg, fg)
     lam = min_eig(gs.g)
     assert lam.min() < 0 < lam.max()
     with pytest.raises(SingularMetricError) as info:
         gs.ginv
-    assert info.value.min_eig == lam.min() == gs.min_eig_g
+    assert info.value.min_eig == gs.min_eig_g
+    # the grid reads the eigenvalue in the frame, the Cartesian g rounds otherwise
+    assert abs(info.value.min_eig - lam.min()) <= 1e-14 * abs(lam.min())
     assert info.value.where == np.unravel_index(np.argmin(lam), lam.shape)
     # the closed-form curvature checks g too, so H(u,u) never reads a non-convex state
     with pytest.raises(SingularMetricError) as info:
         GridStructure(logF, bg, fg).huu
-    assert info.value.min_eig == lam.min()
+    assert info.value.min_eig == gs.min_eig_g

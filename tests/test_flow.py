@@ -274,6 +274,26 @@ def test_trajectory_truncates_on_failure():
     assert len(traj.rows) < 11
 
 
+def test_flow_failure_detail_names_the_node():
+    """A non-convex state fails at step 0, and the record names its worst node as ints."""
+    bg, fg = ff.build_grid(2, 16, TWO_PI, 32)
+    x = bg.nodes()
+    amp = 0.05 + 0.05 * (1.0 + np.cos(x[..., 0]))  # above 1/16 near x1 = 0
+    st = FlowState(bg, fg, logF=amp[..., None] * np.cos(4.0 * fg.thetas))
+    traj = run_flow(st, steps=3, dt=1e-3)
+    lam = st.grid_structure().min_eig_field
+    assert traj.rows == [] and traj.failure.startswith("step 0: ")
+    detail = traj.failure_detail
+    assert detail["step"] == 0 and detail["t"] == 0.0
+    assert detail["error"] == "SingularMetricError"
+    assert detail["min_eig"] == lam.min() < 0
+    assert detail["where"] == list(np.unravel_index(np.argmin(lam), lam.shape))
+    assert all(type(i) is int for i in detail["where"])
+    # a rejected step names the type of its last rejection
+    traj = run_flow(make_state(ff.get_entry("conformal-torus"), N=16, NT=32), steps=2, dt=1e6)
+    assert traj.failure_detail == {"step": 1, "t": 0.0, "error": "GridError"}
+
+
 @pytest.mark.slow
 def test_normalized_decay_reference_resolution(conformal):
     """The criterion-8 decay target is reachable at 32^3 with rk4 at the

@@ -6,11 +6,12 @@ renamed hook would leave its metric at zero without an error, so this runs
 the tracer on small calls in a child process (the patches are global) and
 asserts that the spans were recorded.  The grid properties that the
 connection stack defines for both engines (``mean_cartan``, ``p``, ``rho``,
-``huu``, ``min_eig_g``), the trace-route ``ricci_tilde`` and ``h_tilde``
-that the flow diagnostics build, and the pointwise tensors that read a
-``PointAssembly`` are covered too.  The flow diagnostics read the grid's
-closed-form ``g``, ``rho`` and ``ricci_scalar`` and build no spray, so the
-child builds ``p`` and the spray ``G`` (with its fiber partials) itself.
+``huu``, ``min_eig_g``), ``ricci_tilde``, ``h_tilde`` and the pointwise
+tensors that read a ``PointAssembly`` are covered too.  The flow diagnostics
+read the grid's closed-form ``rho``, ``ricci_scalar``, ``h_tilde``,
+``gem_field`` and smallest eigenvalue of g, and build no spray, no Cartesian
+g or g^-1 and no Htilde_ij, so the child builds ``p``, the spray ``G`` (with
+its fiber partials), ``ricci_tilde`` and ``ginv`` itself.
 """
 
 import json
@@ -41,7 +42,7 @@ bg, fg = build_grid(2, 16, 2 * np.pi, 16)
 state = encode_state(get_entry("conformal-torus").structure, bg, fg)
 diagnostics(state, gem_stride=4)
 gs = state.grid_structure()
-gs.mean_cartan, gs.p, gs.G
+gs.mean_cartan, gs.p, gs.G, gs.ricci_tilde, gs.ginv
 randers = get_entry("randers-torus").structure
 tracer.op = 1
 fundamental_tensor(randers, np.array([0.3, 1.1]), np.array([0.6, 0.8]))
