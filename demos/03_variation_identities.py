@@ -18,6 +18,7 @@ from finslerflow.variations import (
     adjointness_residual,
     conformal_family,
     family_variation,
+    membership_residuals,
     randers_family,
     variation_residuals,
 )
@@ -33,8 +34,9 @@ print("Randers drift path on a curved background (residuals vs centered FD):")
 print(rep.summary())
 
 h = family_variation(fam, gs)
+zero_homog, symmetry = membership_residuals(h, gs)
 print("\nmembership residuals of h = dg/dt:",
-      f"zero-homog {h.zero_homogeneity_residual:.2e}, symmetry {h.symmetry_residual:.2e}")
+      f"zero-homog {zero_homog:.2e}, symmetry {symmetry:.2e}")
 
 
 def X(xn):

@@ -45,7 +45,7 @@ from .measure import (
     FunctionalReport,
 )
 from .variations import (
-    VariationField,
+    membership_residuals,
     conformal_variation,
     lie_derivative_metric,
     divergence_delta,

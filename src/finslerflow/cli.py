@@ -17,9 +17,9 @@ import numpy as np
 
 from . import __version__
 from .flow import (
+    STEPPERS,
     FlowDiagnostics,
     FlowError,
-    dt_policy,
     encode_state,
     run_flow,
 )
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--dt", type=float, default=None, help="fixed step (default: policy)")
     p.add_argument("--normalized", action="store_true")
-    p.add_argument("--stepper", default="euler", choices=["euler", "rk4"])
+    p.add_argument("--stepper", default="euler", choices=STEPPERS)
     p.add_argument("--safety", type=float, default=0.25)
     p.add_argument(
         "--fiber-cut", type=int, default=None,

@@ -22,7 +22,7 @@ import base64
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -49,6 +49,9 @@ __all__ = [
     "read_checkpoint",
 ]
 
+MODES = ("unnormalized", "normalized")
+STEPPERS = ("euler", "rk4")
+
 CHECKPOINT_FORMAT = "finslerflow-checkpoint"
 CHECKPOINT_VERSION = 2
 
@@ -66,12 +69,22 @@ class FlowState:
     logF: np.ndarray
     t: float = 0.0
     step_index: int = 0
-    mode: str = "unnormalized"  # | "normalized"
-    stepper: str = "euler"  # | "rk4"
+    mode: str = "unnormalized"  # one of MODES
+    stepper: str = "euler"  # one of STEPPERS
     base_mode: str = "fd4"
     safety: float = 0.25
     fiber_cut: int | None = None
     name: str = "state"
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.stepper not in STEPPERS:
+            raise ValueError(f"stepper must be one of {STEPPERS}, got {self.stepper!r}")
+        if not self.safety > 0:
+            raise ValueError(f"safety factor must be positive, got {self.safety}")
+        if self.fiber_cut is not None and self.fiber_cut < 0:
+            raise ValueError(f"fiber_cut must be >= 0 or None, got {self.fiber_cut}")
 
     def grid_structure(self) -> GridStructure:
         """Grid pipeline for this state (cached; logF is never mutated in place)."""
@@ -108,12 +121,6 @@ class FlowState:
         return r * np.exp(u)
 
 
-def _check_fiber_cut(cut: int | None) -> int | None:
-    if cut is not None and cut < 0:
-        raise ValueError(f"fiber_cut must be >= 0 or None, got {cut}")
-    return cut
-
-
 def _fiber_project(logF: np.ndarray, cut: int | None) -> np.ndarray:
     if cut is None:
         return logF
@@ -133,7 +140,6 @@ def encode_state(
     fiber_cut: int | None = None,
 ) -> FlowState:
     """Sample log F on the section y = e(theta) of an analytic structure."""
-    _check_fiber_cut(fiber_cut)
     if not entry.chart.periodic:
         raise GridError(
             f"{entry.name}: non-periodic chart; grid flow needs a torus "
@@ -168,8 +174,6 @@ def flow_rhs(state: FlowState) -> np.ndarray:
 
 def dt_policy(state: FlowState) -> float:
     """Stable explicit step: safety * min(h)^2 / (2 n (1 + max|H(u,u)|))."""
-    if state.safety <= 0:
-        raise ValueError("safety factor must be positive")
     gs = state.grid_structure()
     pre = float(np.max(np.abs(gs.huu)))
     h = min(state.bgrid.spacing)
@@ -177,19 +181,19 @@ def dt_policy(state: FlowState) -> float:
     return state.safety * h * h / (2.0 * n * (1.0 + pre))
 
 
+def _rk4(f: Callable, y, dt: float, k1):
+    """One classical Runge-Kutta step of y' = f(y), given k1 = f(y)."""
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _advance(state: FlowState, dt: float) -> np.ndarray:
+    k1 = flow_rhs(state)
     if state.stepper == "euler":
-        return state.logF + dt * flow_rhs(state)
-    if state.stepper == "rk4":
-        k1 = flow_rhs(state)
-        s2 = replace(state, logF=state.logF + 0.5 * dt * k1)
-        k2 = flow_rhs(s2)
-        s3 = replace(state, logF=state.logF + 0.5 * dt * k2)
-        k3 = flow_rhs(s3)
-        s4 = replace(state, logF=state.logF + dt * k3)
-        k4 = flow_rhs(s4)
-        return state.logF + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    raise ValueError(f"unknown stepper {state.stepper!r}")
+        return state.logF + dt * k1
+    return _rk4(lambda logF: flow_rhs(replace(state, logF=logF)), state.logF, dt, k1)
 
 
 def step(state: FlowState, dt: float, max_retries: int = 5) -> FlowState:
@@ -263,30 +267,6 @@ def diagnostics(state: FlowState, gem_stride: int = 8) -> FlowDiagnostics:
         max_abs_huu=float(np.max(np.abs(huu))),
         gem_residual=gs.gem_residual(stride=gem_stride),
     )
-
-
-def state_validity(state: FlowState, tol: float = 1e-6) -> dict:
-    """Structure-preservation checks for a grid state (spot discretization error).
-
-    1-homogeneity of the reconstructed F is exact by construction; the checks
-    guard positivity of g and the fiber identities of the sampled tensors.
-    """
-    gs = state.grid_structure()
-    cy = np.einsum("...ijk,...k->...ij", gs.cartan, gs.y)
-    scale = 1.0 + float(np.max(np.abs(gs.g)))
-    checks = {
-        "g positive definite": (gs.min_eig_g > 0.0, gs.min_eig_g),
-        "C_ijk y^k = 0": (
-            float(np.max(np.abs(cy))) / scale <= tol,
-            float(np.max(np.abs(cy))) / scale,
-        ),
-        "F reconstruction positive": (
-            bool(np.all(np.isfinite(gs.F2)) and np.all(gs.F2 > 0)),
-            float(np.min(gs.F2)),
-        ),
-    }
-    checks["passed"] = all(ok for ok, _ in checks.values())
-    return checks
 
 
 def tensor_flow_gap(state: FlowState) -> float:
@@ -413,11 +393,7 @@ def uniform_scaling_flow(
     ts[0], phis[0] = 0.0, 1.0
     phi = 1.0
     for k in range(steps):
-        k1 = rhs(phi)
-        k2 = rhs(phi + 0.5 * dt * k1)
-        k3 = rhs(phi + 0.5 * dt * k2)
-        k4 = rhs(phi + dt * k3)
-        phi = phi + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        phi = _rk4(rhs, phi, dt, rhs(phi))
         ts[k + 1] = (k + 1) * dt
         phis[k + 1] = phi
     return ts, phis
@@ -499,6 +475,6 @@ def read_checkpoint(path: str) -> FlowState:
         bgrid=bgrid, fgrid=fgrid, logF=logF, t=record["time"],
         step_index=record["step"], mode=record["mode"], stepper=record["stepper"],
         base_mode=record["base_mode"], safety=record.get("safety", 0.25),
-        fiber_cut=_check_fiber_cut(record.get("fiber_cut")),
+        fiber_cut=record.get("fiber_cut"),
         name=record.get("name", "state"),
     )

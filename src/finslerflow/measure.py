@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import contract
 from .connections import PointAssembly
-from .fields import GridStructure, TensorField
+from .fields import GridStructure
 from .grids import GridError
 from .structures import FinslerStructure
 
@@ -96,20 +96,16 @@ def functional_report(gs: GridStructure, c_fun=None) -> FunctionalReport:
     )
 
 
-def _as_02(field) -> np.ndarray:
-    if isinstance(field, TensorField):
-        if field.valence != (0, 2):
-            raise ValueError("expected a (0,2) tensor field")
-        return field.data
-    return np.asarray(field, dtype=float)
+def global_inner(a: np.ndarray, b: np.ndarray, gs: GridStructure) -> float:
+    """Global inner product (a, b)_g = integral g^{ik} g^{jl} a_ij b_kl eta.
 
-
-def global_inner(a, b, gs: GridStructure) -> float:
-    """Global inner product (a, b)_g = integral g^{ik} g^{jl} a_ij b_kl eta."""
-    a = _as_02(a)
-    b = _as_02(b)
-    if a.shape != b.shape or a.shape[:3] != gs.F2.shape:
-        raise GridError("field shapes do not match the grid")
+    ``a`` and ``b`` are (0,2) fields on SM as arrays of shape
+    ``gs.F2.shape + (2, 2)``, i.e. (N1, N2, Ntheta, 2, 2).
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    want = gs.F2.shape + (2, 2)
+    if a.shape != want or b.shape != want:
+        raise GridError(f"field shapes {a.shape}, {b.shape} do not match the grid {want}")
     gi = gs.ginv
     dens = contract("...ik,...jl,...ij,...kl->...", gi, gi, a, b)
     return gs.integrate(dens)

@@ -1,10 +1,10 @@
 """Tangent vectors of the space of Finsler metrics and variation identities.
 
-Variations are realized as metric families (Randers-parameter paths,
-conformal paths), never as raw unconstrained arrays, so membership in the
-tangent space (zero-homogeneity, total symmetry of the fiber derivative) is
-guaranteed by construction.  Raw arrays are accepted with explicit residual
-checks.
+A variation h is a plain (N1, N2, Ntheta, 2, 2) array of h_ij on the grid.
+The constructors realize it from metric families (Randers-parameter paths,
+conformal paths), conformal rescalings and Lie derivatives, so membership in
+the tangent space (zero-homogeneity, total symmetry of the fiber derivative)
+holds by construction; ``membership_residuals`` measures it.
 """
 
 from __future__ import annotations
@@ -15,19 +15,12 @@ from typing import Callable
 import numpy as np
 
 from .algebra import contract
-from .fields import (
-    GridStructure,
-    TensorField,
-    horizontal_cov_deriv,
-    theta_derivative,
-    fiber_partials,
-)
-from .grids import BaseGrid, FiberGrid
+from .fields import GridStructure, TensorField, horizontal_cov_deriv, fiber_partials
 from .measure import global_inner, pair_inner
 from .structures import FinslerStructure
 
 __all__ = [
-    "VariationField",
+    "membership_residuals",
     "conformal_variation",
     "lie_derivative_metric",
     "divergence_delta",
@@ -43,39 +36,26 @@ __all__ = [
 ]
 
 
-@dataclass
-class VariationField:
-    """Symmetric 2-form field h on SM with provenance and membership residuals."""
+def membership_residuals(h: np.ndarray, gs: GridStructure) -> tuple[float, float]:
+    """Residuals of y^k d_k h_ij = 0 and of the total symmetry of d_k h_ij.
 
-    h: TensorField
-    provenance: str = "raw"  # conformal | lie | family | raw
-    zero_homogeneity_residual: float = np.nan
-    symmetry_residual: float = np.nan
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.h.data
-
-    def check_membership(self, gs: GridStructure, tol: float = 1e-6) -> bool:
-        """Residuals for y^k d_k h_ij = 0 and total symmetry of d_k h_ij."""
-        dh = gs.fiber(self.data, 0)  # (..., i, j, k)
-        scale = 1.0 + float(np.max(np.abs(self.data)))
-        zh = float(np.max(np.abs(contract("...ijk,...k->...ij", dh, gs.y)))) / scale
-        sym = (
-            np.abs(dh - np.swapaxes(dh, -1, -2))
-            + np.abs(dh - np.swapaxes(dh, -2, -3))
-        )
-        sy = float(np.max(sym)) / scale
-        self.zero_homogeneity_residual = zh
-        self.symmetry_residual = sy
-        return zh <= tol and sy <= tol
+    Both are maxima over the grid relative to 1 + max|h|, returned as
+    (zero_homogeneity, symmetry).
+    """
+    dh = gs.fiber(h, 0)  # (..., i, j, k)
+    scale = 1.0 + float(np.max(np.abs(h)))
+    zh = float(np.max(np.abs(contract("...ijk,...k->...ij", dh, gs.y)))) / scale
+    sym = (
+        np.abs(dh - np.swapaxes(dh, -1, -2))
+        + np.abs(dh - np.swapaxes(dh, -2, -3))
+    )
+    return zh, float(np.max(sym)) / scale
 
 
-def conformal_variation(k_fun: Callable, gs: GridStructure) -> VariationField:
+def conformal_variation(k_fun: Callable, gs: GridStructure) -> np.ndarray:
     """h = k(x) g: the pointwise-conformal tangent direction."""
     kx = np.asarray(k_fun(gs.x_nodes), dtype=float)
-    h = kx[..., None, None, None] * gs.g
-    return VariationField(TensorField(h, (0, 2), 0), provenance="conformal")
+    return kx[..., None, None, None] * gs.g
 
 
 def _vector_field(X, gs: GridStructure) -> np.ndarray:
@@ -89,7 +69,7 @@ def _vector_field(X, gs: GridStructure) -> np.ndarray:
     return Xv
 
 
-def lie_derivative_metric(X, gs: GridStructure) -> VariationField:
+def lie_derivative_metric(X, gs: GridStructure) -> np.ndarray:
     """(L_X^ g)_ij = nabla_i X_j + nabla_j X_i + 2 (nabla_0 X^k) C_kij.
 
     ``X`` is a vector field on the base (callable of the node array or a
@@ -100,33 +80,29 @@ def lie_derivative_metric(X, gs: GridStructure) -> VariationField:
     nabX = horizontal_cov_deriv(Xf, gs).data  # (..., k, i) = nabla_i X^k
     low = contract("...jk,...ki->...ij", gs.g, nabX)  # nabla_i X_j
     nab0X = contract("...ki,...i->...k", nabX, gs.y)  # nabla_0 X^k at y = e
-    h = low + np.swapaxes(low, -1, -2) + 2.0 * contract("...k,...kij->...ij", nab0X, gs.cartan)
-    return VariationField(TensorField(h, (0, 2), 0), provenance="lie")
+    return low + np.swapaxes(low, -1, -2) + 2.0 * contract("...k,...kij->...ij", nab0X, gs.cartan)
 
 
-def divergence_delta(h: VariationField | TensorField, gs: GridStructure) -> TensorField:
+def divergence_delta(h: np.ndarray, gs: GridStructure) -> np.ndarray:
     """Adjoint of the Lie-derivative operator:
 
     (delta h)_k = -(nabla^i h_ik - h_kj nabla_0 C^j
                     + (nabla_0 C_kij) h^{ij} + C_kij nabla_0 h^{ij}).
     """
-    hf = h.h if isinstance(h, VariationField) else h
     gi = gs.ginv
-    hdata = hf.data
     # nabla^i h_ik
-    nabh = horizontal_cov_deriv(TensorField(hdata, (0, 2), 0), gs).data  # (...,i,k,m)
+    nabh = horizontal_cov_deriv(TensorField(h, (0, 2), 0), gs).data  # (...,i,k,m)
     div = contract("...im,...ikm->...k", gi, nabh)
     # h_kj nabla_0 C^j
-    t2 = contract("...kj,...j->...k", hdata, gs.nabla0_mean_cartan)
+    t2 = contract("...kj,...j->...k", h, gs.nabla0_mean_cartan)
     # (nabla_0 C_kij) h^{ij}
-    hup = contract("...ia,...jb,...ab->...ij", gi, gi, hdata)
+    hup = contract("...ia,...jb,...ab->...ij", gi, gi, h)
     t3 = contract("...kij,...ij->...k", gs.nabla0_cartan, hup)
     # C_kij nabla_0 h^{ij}: metric compatibility lets nabla_0 act on h then raise
     nab0h = contract("...ikm,...m->...ik", nabh, gs.y)
     nab0hup = contract("...ia,...jb,...ab->...ij", gi, gi, nab0h)
     t4 = contract("...kij,...ij->...k", gs.cartan, nab0hup)
-    out = -(div - t2 + t3 + t4)
-    return TensorField(out, (0, 1), homogeneity=0)
+    return -(div - t2 + t3 + t4)
 
 
 def codifferential(form: TensorField, gs: GridStructure, kind: str) -> np.ndarray:
@@ -150,25 +126,17 @@ def codifferential(form: TensorField, gs: GridStructure, kind: str) -> np.ndarra
     raise ValueError(f"unknown codifferential kind {kind!r}")
 
 
-def trace_split(h: VariationField | TensorField, gs: GridStructure):
+def trace_split(h: np.ndarray, gs: GridStructure) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise decomposition h = (tr_g h / n) g + h_perp with tr_g h_perp = 0."""
-    hf = h.h if isinstance(h, VariationField) else h
-    tr = contract("...ij,...ij->...", gs.ginv, hf.data)
+    tr = contract("...ij,...ij->...", gs.ginv, h)
     conf = (tr / 2.0)[..., None, None] * gs.g
-    perp = hf.data - conf
-    return (
-        TensorField(conf, (0, 2), hf.homogeneity),
-        TensorField(perp, (0, 2), hf.homogeneity),
-    )
+    return conf, h - conf
 
 
-def adjointness_residual(X, h: VariationField, gs: GridStructure) -> float:
+def adjointness_residual(X, h: np.ndarray, gs: GridStructure) -> float:
     """|1/2 (L_X^ g, h) - (X, delta h)| / (1 + |(X, delta h)|)."""
-    L = lie_derivative_metric(X, gs)
-    lhs = 0.5 * global_inner(L.h, h.h, gs)
-    dh = divergence_delta(h, gs)
-    Xv = _vector_field(X, gs)
-    rhs = pair_inner(Xv, dh.data, gs)
+    lhs = 0.5 * global_inner(lie_derivative_metric(X, gs), h, gs)
+    rhs = pair_inner(_vector_field(X, gs), divergence_delta(h, gs), gs)
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
@@ -227,20 +195,19 @@ def randers_family(
     return MetricFamily(make=make, t_max=t_max, kind="randers")
 
 
-def _grid_of(family: MetricFamily, t: float, gs0: GridStructure) -> GridStructure:
-    return GridStructure(family.structure(t), gs0.bgrid, gs0.fgrid, gs0.base_mode)
+def _centred(family: MetricFamily, gs0: GridStructure, t_step: float):
+    """The family's grid structures at t = +t_step, -t_step and h = dg_t/dt by
+    centered differencing of their metrics."""
+    gp = GridStructure(family.structure(+t_step), gs0.bgrid, gs0.fgrid, gs0.base_mode)
+    gm = GridStructure(family.structure(-t_step), gs0.bgrid, gs0.fgrid, gs0.base_mode)
+    return gp, gm, (gp.g - gm.g) / (2.0 * t_step)
 
 
 def family_variation(
     family: MetricFamily, gs0: GridStructure, t_step: float = 1e-4
-) -> VariationField:
+) -> np.ndarray:
     """h = d g_t / dt |_0 by centered differencing of the family metric."""
-    gp = _grid_of(family, +t_step, gs0).g
-    gm = _grid_of(family, -t_step, gs0).g
-    h = (gp - gm) / (2.0 * t_step)
-    v = VariationField(TensorField(h, (0, 2), 0), provenance="family")
-    v.check_membership(gs0)
-    return v
+    return _centred(family, gs0, t_step)[2]
 
 
 @dataclass
@@ -278,13 +245,10 @@ def variation_residuals(
     """
     rep = VariationReport()
     n = 2
-    gp = _grid_of(family, +t_step, gs0)
-    gm = _grid_of(family, -t_step, gs0)
-    h = (gp.g - gm.g) / (2.0 * t_step)
-    hv = VariationField(TensorField(h, (0, 2), 0), provenance="family")
-    hv.check_membership(gs0)
-    rep.values["membership_zero_homog"] = hv.zero_homogeneity_residual
-    rep.values["membership_symmetry"] = hv.symmetry_residual
+    gp, gm, h = _centred(family, gs0, t_step)
+    zh, sym = membership_residuals(h, gs0)
+    rep.values["membership_zero_homog"] = zh
+    rep.values["membership_symmetry"] = sym
 
     gi = gs0.ginv
     e = gs0.y

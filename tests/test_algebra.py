@@ -159,6 +159,6 @@ def test_heavy_grid_route_avoids_einsum(monkeypatch, randers):
     a = TensorField(gs.ginv[..., 0, :] * gs.F[..., None], (0, 1), -1)
     for kind in ("horizontal", "vertical"):
         assert np.all(np.isfinite(variations.codifferential(a, gs, kind)))
+    assert measure.global_inner(gs.g, gs.g, gs) == pytest.approx(2.0 * gs.volume, rel=1e-12)
     g = TensorField(gs.g, (0, 2), 0)
-    assert measure.global_inner(g, g, gs) == pytest.approx(2.0 * gs.volume, rel=1e-12)
     assert np.all(np.isfinite(horizontal_cov_deriv(g, gs).data))

@@ -195,11 +195,11 @@ def test_cov_deriv_valence_1_3(gs_randers, randers):
     fam = randers_family(
         randers.structure, lambda xs: (0.05 * cos_(xs[1]), 0.05 * sin_(xs[0]))
     )
-    h = family_variation(fam, gs_randers).h
-    nab_h = horizontal_cov_deriv(h, gs_randers).data
+    h = family_variation(fam, gs_randers)
+    nab_h = horizontal_cov_deriv(TensorField(h, (0, 2), 0), gs_randers).data
     assert np.max(np.abs(nab_h)) > 1e-2
     eye = np.eye(2)
-    T = TensorField(np.einsum("ij,...kl->...ijkl", eye, h.data), (1, 3), h.homogeneity)
+    T = TensorField(np.einsum("ij,...kl->...ijkl", eye, h), (1, 3), 0)
     got = horizontal_cov_deriv(T, gs_randers)
     assert got.valence == (1, 4)
     want = np.einsum("ij,...klm->...ijklm", eye, nab_h)
@@ -376,18 +376,17 @@ def test_functional_scale_invariance(conformal, randers, grids_small):
 
 def test_global_inner_examples(gs_randers):
     gs = gs_randers
-    g = TensorField(gs.g, (0, 2), 0)
+    g = gs.g
     V = gs.volume
     assert global_inner(g, g, gs) == pytest.approx(2.0 * V, rel=1e-12)
     rng = np.random.default_rng(7)
     h = rng.standard_normal(gs.g.shape)
     h = h + np.swapaxes(h, -1, -2)
-    hf = TensorField(h, (0, 2), 0)
-    assert global_inner(hf, g, gs) == pytest.approx(
-        global_inner(g, hf, gs), rel=1e-12
+    assert global_inner(h, g, gs) == pytest.approx(
+        global_inner(g, h, gs), rel=1e-12
     )
     tr = np.einsum("...ij,...ij->...", gs.ginv, h)
-    assert global_inner(hf, g, gs) == pytest.approx(gs.integrate(tr), rel=1e-10)
+    assert global_inner(h, g, gs) == pytest.approx(gs.integrate(tr), rel=1e-10)
 
 
 def test_pair_inner_requires_lifted_fields(randers):

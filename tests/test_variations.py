@@ -14,7 +14,6 @@ from finslerflow.oracles import (
 )
 from finslerflow.variations import (
     MetricFamily,
-    VariationField,
     adjointness_residual,
     codifferential,
     conformal_family,
@@ -22,6 +21,7 @@ from finslerflow.variations import (
     divergence_delta,
     family_variation,
     lie_derivative_metric,
+    membership_residuals,
     randers_family,
     trace_split,
     variation_residuals,
@@ -66,33 +66,32 @@ def dX_trig(xn):
 
 def test_conformal_variation_basics(gs_rand):
     h = conformal_variation(lambda xn: np.ones(xn.shape[:-1]), gs_rand)
-    tr = np.einsum("...ij,...ij->...", gs_rand.ginv, h.data)
+    tr = np.einsum("...ij,...ij->...", gs_rand.ginv, h)
     np.testing.assert_allclose(tr, 2.0, atol=1e-12)
     e = gs_rand.e[None, None, :, :]
-    huu = np.einsum("...ij,...i,...j->...", h.data, e, e) / gs_rand.F2
+    huu = np.einsum("...ij,...i,...j->...", h, e, e) / gs_rand.F2
     np.testing.assert_allclose(huu, 1.0, atol=1e-12)
-    assert h.check_membership(gs_rand, tol=1e-10)
+    assert max(membership_residuals(h, gs_rand)) <= 1e-10
 
 
 def test_trace_split(gs_rand):
     kx = np.cos(gs_rand.x_nodes[..., 0])
     h = conformal_variation(lambda xn: np.cos(xn[..., 0]), gs_rand)
     conf, perp = trace_split(h, gs_rand)
-    assert np.max(np.abs(perp.data)) <= 1e-12
+    assert np.max(np.abs(perp)) <= 1e-12
     rng = np.random.default_rng(3)
     raw = rng.standard_normal(gs_rand.g.shape)
-    raw = raw + np.swapaxes(raw, -1, -2)
-    hf = TensorField(raw, (0, 2), 0)
+    hf = raw + np.swapaxes(raw, -1, -2)
     conf, perp = trace_split(hf, gs_rand)
-    tr_perp = np.einsum("...ij,...ij->...", gs_rand.ginv, perp.data)
+    tr_perp = np.einsum("...ij,...ij->...", gs_rand.ginv, perp)
     assert np.max(np.abs(tr_perp)) <= 1e-10
     # orthogonality under the global inner product
     norm2 = global_inner(hf, hf, gs_rand)
     assert abs(global_inner(conf, perp, gs_rand)) <= 1e-10 * norm2
     # idempotence
     conf2, perp2 = trace_split(perp, gs_rand)
-    assert np.max(np.abs(conf2.data)) <= 1e-12
-    np.testing.assert_allclose(perp2.data, perp.data, atol=1e-12)
+    assert np.max(np.abs(conf2)) <= 1e-12
+    np.testing.assert_allclose(perp2, perp, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +100,14 @@ def test_trace_split(gs_rand):
 
 def test_lie_derivative_flat_constant_killing(gs_flat):
     h = lie_derivative_metric(lambda xn: np.ones(xn.shape[:-1] + (2,)), gs_flat)
-    assert np.max(np.abs(h.data)) <= 1e-12
+    assert np.max(np.abs(h)) <= 1e-12
 
 
 def test_lie_derivative_riemannian_oracle(gs_conf, conformal):
     h = lie_derivative_metric(X_trig, gs_conf)
     x = gs_conf.x_nodes
     want = riemannian_killing(conformal, x, X_trig, dX_trig)
-    got = h.data
-    err = np.max(np.abs(got - want[:, :, None, :, :]))
+    err = np.max(np.abs(h - want[:, :, None, :, :]))
     assert err <= 1e-7
 
 
@@ -133,7 +131,7 @@ def test_lie_derivative_vs_flow_pullback_fd(gs_rand, randers):
             return np.einsum("ai,bj,ab->ij", J, J, g)
 
         fd = (pulled(t) - pulled(-t)) / (2 * t)
-        np.testing.assert_allclose(h.data[i1, i2, i3], fd, atol=1e-4)
+        np.testing.assert_allclose(h[i1, i2, i3], fd, atol=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +139,9 @@ def test_lie_derivative_vs_flow_pullback_fd(gs_rand, randers):
 # ---------------------------------------------------------------------------
 
 def test_divergence_flat_constant(gs_flat):
-    h = TensorField(
-        np.broadcast_to(np.array([[1.0, 0.3], [0.3, 2.0]]), gs_flat.g.shape).copy(),
-        (0, 2), 0,
-    )
+    h = np.broadcast_to(np.array([[1.0, 0.3], [0.3, 2.0]]), gs_flat.g.shape).copy()
     d = divergence_delta(h, gs_flat)
-    assert np.max(np.abs(d.data)) <= 1e-12
+    assert np.max(np.abs(d)) <= 1e-12
 
 
 def test_divergence_riemannian_oracle(gs_conf, conformal):
@@ -168,10 +163,8 @@ def test_divergence_riemannian_oracle(gs_conf, conformal):
 
     x = gs_conf.x_nodes
     want = riemannian_divergence(conformal, x, h, dh)
-    hf = TensorField(
-        np.broadcast_to(h(x)[:, :, None, :, :], gs_conf.g.shape).copy(), (0, 2), 0
-    )
-    got = divergence_delta(hf, gs_conf).data
+    hf = np.broadcast_to(h(x)[:, :, None, :, :], gs_conf.g.shape).copy()
+    got = divergence_delta(hf, gs_conf)
     assert np.max(np.abs(got - want[:, :, None, :])) <= 1e-6
 
 
@@ -260,9 +253,8 @@ def test_adjointness_nonflat_background(gs_rand, randers):
 def test_adjointness_bilinear(gs_rand, randers):
     X, h = corpus(gs_rand, randers.structure)[0]
     L = ff.lie_derivative_metric(X, gs_rand)
-    lhs1 = 0.5 * global_inner(L.h, h.h, gs_rand)
-    h2 = VariationField(TensorField(2.0 * h.data, (0, 2), 0), provenance="family")
-    lhs2 = 0.5 * global_inner(L.h, h2.h, gs_rand)
+    lhs1 = 0.5 * global_inner(L, h, gs_rand)
+    lhs2 = 0.5 * global_inner(L, 2.0 * h, gs_rand)
     assert lhs2 == pytest.approx(2.0 * lhs1, rel=1e-12)
 
 
@@ -275,8 +267,8 @@ def test_conformal_eta_prime_is_algebraic(gs_rand):
     h = conformal_variation(lambda xn: np.sin(xn[..., 0]), gs_rand)
     gi = gs_rand.ginv
     e = gs_rand.e[None, None, :, :]
-    tr = np.einsum("...ij,...ij->...", gi, h.data)
-    huu = np.einsum("...ij,...i,...j->...", h.data, e, e) / gs_rand.F2
+    tr = np.einsum("...ij,...ij->...", gi, h)
+    huu = np.einsum("...ij,...i,...j->...", h, e, e) / gs_rand.F2
     pref = tr - (2.0 / 2.0) * huu
     np.testing.assert_allclose(pref, 0.5 * tr, atol=1e-12)
 
