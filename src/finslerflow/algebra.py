@@ -20,7 +20,7 @@ share no code with this one.
 H(u,u), Htilde_ij and Htilde are read off the spray trace
 R^k_k = H_rs y^r y^s on both engines; the hh-curvature and Ricci tensor are
 kept for the pointwise bundle, whose jet ``Q`` feeds ``tilde``.  The grid
-overrides ``g``, ``min_eig_field``, ``rho``, ``ricci_scalar`` and
+overrides ``g``, ``min_eig_field``, ``rho``, ``ricci_scalar``, ``huu`` and
 ``h_tilde`` with their closed forms on a surface, and reads its GEM gap in
 closed form too (see :mod:`finslerflow.fields`); :func:`spray_trace`,
 :func:`gem_gap` and :func:`min_eig` serve the jets and are the tests'

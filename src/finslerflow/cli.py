@@ -23,7 +23,7 @@ from .flow import (
     encode_state,
     run_flow,
 )
-from .grids import GridError, build_grid
+from .grids import BASE_MODES, GridError, build_grid
 from .structures import DomainError, SingularMetricError, validate_structure
 from .zoo import get_entry, list_entries
 
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metric")
         p.add_argument("--metric-params", help="JSON object of entry parameters")
         p.add_argument("--out", help="output directory (manifest + records)")
-        p.add_argument("--base-mode", default="fd4", choices=["fd4", "spectral"])
+        p.add_argument("--base-mode", default="fd4", choices=BASE_MODES)
         if grid:
             p.add_argument("--grid", default="48,48,48", help="N1,N2,Ntheta")
 

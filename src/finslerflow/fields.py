@@ -19,15 +19,36 @@ no spray tensor and no 2 x 2 field.  The Cartesian g, ``ginv``,
 ``ricci_tilde``, the spray G, G^i_j, G^i_jk and the covariant derivatives
 stay lazy for the variational side.  ``theta_derivative`` takes a tuple of
 orders, so that u', u'' (and R', R'', Q', Q'') share one rfft.
+
+The closed forms are built in x1-slabs of about 32768 points (8 rows at
+64^2 x 64), each written into preallocated full-size fields, so that a
+formula's temporaries stay in cache.  Slabs run on a thread pool with one
+worker per CPU the process may use (``os.sched_getaffinity``), created on
+first use; with one CPU or one slab they run inline.  A slab keeps the
+whole fiber axis and the whole x2 axis, so theta- and x2-derivatives are
+taken inside it; an FD4 d/dx1 reads a two-row periodic halo around the
+slab, and a spectral d/dx1 is one whole-field transform taken before the
+slab pass.  Every element is computed by the same operations in the same
+order as on the whole field, so the fields are bit-identical for any slab
+count or worker count; that is why there is no thread setting (pin the
+process with ``taskset`` to run it on one CPU).  The workers call only
+``grids._spectral`` and the padded FD4 stencil, never a cache builder or
+a traced function, and never submit to the pool themselves.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+
 import numpy as np
 
 from . import algebra
-from .grids import BaseGrid, FiberGrid, GridError, _spectral, base_derivative
+from .grids import (
+    BaseGrid, FiberGrid, GridError, _fd4_padded, _spectral, _wrap_rows, base_derivative,
+)
 from .structures import FinslerStructure
 
 __all__ = [
@@ -45,6 +66,48 @@ def theta_derivative(w: np.ndarray, order=1, axis: int = 2):
     A tuple of orders gives one array per order from a single rfft.
     """
     return _spectral(w, axis, 2.0 * np.pi, order)
+
+
+def _dtheta(w: np.ndarray, order=1):
+    """``theta_derivative`` on the last axis, for the slab workers."""
+    return _spectral(w, 2, 2.0 * np.pi, order)
+
+
+# Points per x1-slab of the polar closed forms (8 rows at 64^2 x 64): the
+# few slab-sized temporaries a formula keeps live fit in a core's L2 cache.
+_SLAB_POINTS = 32768
+
+
+@lru_cache(maxsize=None)
+def _slab_pool(pid: int):
+    """One worker per CPU this process may run on, or None with one CPU.
+
+    Keyed by process id, so that a forked child starts its own workers.
+    ``concurrent.futures`` (and the ``logging`` it loads) is imported here,
+    so that the pointwise routes, which never build a slab, do not pay for
+    it at import.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    n = len(os.sched_getaffinity(0))
+    return ThreadPoolExecutor(n, thread_name_prefix="finslerflow-slab") if n > 1 else None
+
+
+def _run_slabs(task, slabs: list) -> None:
+    """Run ``task(rows)`` for every slab, on the worker pool when it has one.
+
+    Each task runs in a copy of the caller's context, so a caller's
+    ``np.errstate`` holds in the workers; every result is read, so a
+    worker's exception is raised here.
+    """
+    pool = _slab_pool(os.getpid()) if len(slabs) > 1 else None
+    if pool is None:
+        for rows in slabs:
+            task(rows)
+        return
+    futures = [pool.submit(contextvars.copy_context().run, task, rows) for rows in slabs]
+    for f in futures:
+        f.result()
 
 
 def fiber_partials(w: np.ndarray, d: int, thetas: np.ndarray) -> np.ndarray:
@@ -119,7 +182,13 @@ class GridStructure(algebra.ConnectionStack):
                 self.F2 = np.exp(2.0 * logF)
         if not np.all(np.isfinite(self.F2)) or np.any(self.F2 <= 0):
             raise GridError("F^2 must be finite and positive on the grid")
-        self.F = np.sqrt(self.F2)
+        N1, N2, n_theta = self.F2.shape
+        step = max(1, _SLAB_POINTS // (N2 * n_theta))
+        self._slab_rows = [slice(i, min(i + step, N1)) for i in range(0, N1, step)]
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return np.sqrt(self.F2)
 
     # -- engine ------------------------------------------------------------
     def dx(self, field: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
@@ -163,20 +232,47 @@ class GridStructure(algebra.ConnectionStack):
     # metric, the Liouville density, the spray trace and Htilde_ij are
     # scalars of u in the frame (e, eperp) at y = e(theta) (Bao, Chern &
     # Shen, GTM 200, ch. 4), so the flow's route builds no tensor field.
+    # Each one is built by ``_slabwise``: its builder fetches the cached
+    # fields first, so the slab formula calls no traced or cached helper.
+
+    def _slabwise(self, formula, n: int = 1):
+        """A preallocated field (a tuple of n), filled x1-slab by x1-slab with ``formula(rows)``."""
+        outs = [np.empty(self.F2.shape) for _ in range(n)]
+
+        def task(rows):
+            values = formula(rows)
+            for out, value in zip(outs, values if n > 1 else (values,)):
+                out[rows] = value
+
+        _run_slabs(task, self._slab_rows)
+        return tuple(outs) if n > 1 else outs[0]
+
+    def _x1_source(self, *fields) -> tuple:
+        """What a slab's d/dx1 reads: the field itself in fd4 (its halo rows
+        are gathered per slab), its whole-field transform in spectral mode."""
+        if self.base_mode == "fd4":
+            return fields
+        return tuple(self.dx(f, 0) for f in fields)
+
+    def _slab_frame_dx(self, f: np.ndarray, f_x1: np.ndarray, rows: slice):
+        """(D f, Dperp f) on ``rows``; ``f_x1`` is ``_x1_source(f)``."""
+        c, s = self.e.T
+        if self.base_mode == "fd4":
+            h1, h2 = self.bgrid.spacing
+            d1 = _fd4_padded(_wrap_rows(f_x1, 0, rows.start - 2, rows.stop + 2), 0, h1, 1)
+            d2 = _fd4_padded(_wrap_rows(f[rows], 1, -2, f.shape[1] + 2), 1, h2, 1)
+        else:
+            d1 = f_x1[rows]
+            d2 = _spectral(f[rows], 1, self.bgrid.lengths[1], 1)
+        return c * d1 + s * d2, c * d2 - s * d1
 
     @property
     def _u_theta(self):
         """(u', u'', a) with a = 1 + u'' + 2u'^2, so that g = e^{2u} [[1, u'], [u', a]]."""
-        def build():
-            u1, u2 = theta_derivative(self.logF, (1, 2))
+        def formula(rows):
+            u1, u2 = _dtheta(self.logF[rows], (1, 2))
             return u1, u2, 1.0 + u2 + 2.0 * u1 * u1
-        return self._get("u_theta", build)
-
-    def _frame_dx(self, f: np.ndarray):
-        """(D f, Dperp f)."""
-        c, s = self.e.T
-        d1, d2 = self.dx(f, 0), self.dx(f, 1)
-        return c * d1 + s * d2, c * d2 - s * d1
+        return self._get("u_theta", lambda: self._slabwise(formula, 3))
 
     @property
     def _u_frame(self):
@@ -186,8 +282,13 @@ class GridStructure(algebra.ConnectionStack):
         u on randers-torus, and the tensor route differentiates F^2 too.
         """
         def build():
-            Du, Dpu = (d / (2.0 * self.F2) for d in self._frame_dx(self.F2))
-            return Du, Dpu, theta_derivative(Du) - Dpu
+            F2 = self.F2
+            (F2_x1,) = self._x1_source(F2)
+
+            def formula(rows):
+                Du, Dpu = (d / (2.0 * F2[rows]) for d in self._slab_frame_dx(F2, F2_x1, rows))
+                return Du, Dpu, _dtheta(Du) - Dpu
+            return self._slabwise(formula, 3)
         return self._get("u_frame", build)
 
     @property
@@ -209,8 +310,8 @@ class GridStructure(algebra.ConnectionStack):
     def rho(self) -> np.ndarray:
         """Liouville density e^{2u} W."""
         def build():
-            u1, u2, _ = self._u_theta
-            return self.F2 * (1.0 + u2 + u1 * u1)
+            F2, (u1, u2, _) = self.F2, self._u_theta
+            return self._slabwise(lambda r: F2[r] * (1.0 + u2[r] + u1[r] * u1[r]))
         return self._get("rho", build)
 
     @property
@@ -220,31 +321,49 @@ class GridStructure(algebra.ConnectionStack):
         R^k_k = -D P + 2 Dperp Q - D Q' + P^2 + 2 Q P' + 2 Q Q'' + 4 Q^2 - Q'^2,
         with P = [(1 + u'') Du - u' Du' + u' Dperp u] / 2W and
         Q = [u' Du + Du' - Dperp u] / 2W.  Raises unless g is positive
-        definite, as the tensor route does through g^-1.
+        definite, as the tensor route does through g^-1.  P and Q are built
+        on every slab before R, whose base derivatives read their neighbours.
         """
         def build():
             self.require_spd()
-            u1, u2, _ = self._u_theta
-            Du, Dpu, Du1 = self._u_frame
-            W2 = 2.0 * (1.0 + u2 + u1 * u1)
-            P = ((1.0 + u2) * Du - u1 * Du1 + u1 * Dpu) / W2
-            Q = (u1 * Du + Du1 - Dpu) / W2
-            DP, _ = self._frame_dx(P)
-            DQ, DpQ = self._frame_dx(Q)
-            Q1, Q2 = theta_derivative(Q, (1, 2))
-            return (
-                -DP + 2.0 * DpQ - (theta_derivative(DQ) - DpQ) + P * P
-                + 2.0 * Q * theta_derivative(P) + 2.0 * Q * Q2
-                + 4.0 * Q * Q - Q1 * Q1
-            )
+            (u1, u2, _), (Du, Dpu, Du1) = self._u_theta, self._u_frame
+
+            def spray(r):
+                W2 = 2.0 * (1.0 + u2[r] + u1[r] * u1[r])
+                return (
+                    ((1.0 + u2[r]) * Du[r] - u1[r] * Du1[r] + u1[r] * Dpu[r]) / W2,
+                    (u1[r] * Du[r] + Du1[r] - Dpu[r]) / W2,
+                )
+            P, Q = self._slabwise(spray, 2)
+            P_x1, Q_x1 = self._x1_source(P, Q)
+
+            def trace(r):
+                p, q = P[r], Q[r]
+                DP, _ = self._slab_frame_dx(P, P_x1, r)
+                DQ, DpQ = self._slab_frame_dx(Q, Q_x1, r)
+                Q1, Q2 = _dtheta(q, (1, 2))
+                return (
+                    -DP + 2.0 * DpQ - (_dtheta(DQ) - DpQ) + p * p
+                    + 2.0 * q * _dtheta(p) + 2.0 * q * Q2
+                    + 4.0 * q * q - Q1 * Q1
+                )
+            return self._slabwise(trace)
         return self._get("ricci_scalar", build)
+
+    @property
+    def huu(self) -> np.ndarray:
+        """H(u,u) = R^k_k / F^2."""
+        def build():
+            R, F2 = self.ricci_scalar, self.F2
+            return self._slabwise(lambda r: R[r] / F2[r])
+        return self._get("huu", build)
 
     @property
     def min_eig_field(self) -> np.ndarray:
         """e^{2u} lambda_min([[1, u'], [u', a]]), as (e, eperp) is orthonormal."""
         def build():
-            u1, _, a = self._u_theta
-            return self.F2 * algebra.sym2_min_eig(1.0, u1, a)
+            F2, (u1, _, a) = self.F2, self._u_theta
+            return self._slabwise(lambda r: F2[r] * algebra.sym2_min_eig(1.0, u1[r], a[r]))
         return self._get("min_eig_field", build)
 
     @property
@@ -254,15 +373,19 @@ class GridStructure(algebra.ConnectionStack):
         In the frame, Htilde_ij = [[R, R'/2], [R'/2, R + R''/2]] and
         g^-1 = [[a, -u'], [-u', 1]] / rho.
         """
-        return self._get("R_theta", lambda: theta_derivative(self.ricci_scalar, (1, 2)))
+        def build():
+            R = self.ricci_scalar
+            return self._slabwise(lambda r: _dtheta(R[r], (1, 2)), 2)
+        return self._get("R_theta", build)
 
     @property
     def h_tilde(self) -> np.ndarray:
         """Htilde = [(2 + u'' + 2u'^2) R - u'R' + R''/2] / rho, with R = R^k_k."""
         def build():
-            u1, _, a = self._u_theta
+            (u1, _, a), rho = self._u_theta, self.rho
             R, (R1, R2) = self.ricci_scalar, self._R_theta
-            return ((1.0 + a) * R - u1 * R1 + 0.5 * R2) / self.rho
+            return self._slabwise(
+                lambda r: ((1.0 + a[r]) * R[r] - u1[r] * R1[r] + 0.5 * R2[r]) / rho[r])
         return self._get("h_tilde", build)
 
     @property
@@ -277,17 +400,20 @@ class GridStructure(algebra.ConnectionStack):
         max(|M_00|, |M_01| + |skew|) with M_01 the symmetric off-diagonal.
         """
         def build():
-            u1, _, a = self._u_theta
+            (u1, _, a), rho = self._u_theta, self.rho
             R, (R1, R2) = self.ricci_scalar, self._R_theta
-            h = 0.5 * R2
-            m = 0.5 * ((a - 1.0) * R - h)
-            p = 0.5 * a * R1 - u1 * (R + h)
-            q = 0.5 * R1 - u1 * R
-            k, skew = 0.5 * (p + q), np.abs(0.5 * (p - q))
             c2, s2 = np.cos(2.0 * self.thetas), np.sin(2.0 * self.thetas)
-            diag = np.abs(m * c2 - k * s2)
-            off = np.abs(m * s2 + k * c2)
-            return np.maximum(diag, off + skew) / self.rho
+
+            def formula(r):
+                h = 0.5 * R2[r]
+                m = 0.5 * ((a[r] - 1.0) * R[r] - h)
+                p = 0.5 * a[r] * R1[r] - u1[r] * (R[r] + h)
+                q = 0.5 * R1[r] - u1[r] * R[r]
+                k, skew = 0.5 * (p + q), np.abs(0.5 * (p - q))
+                diag = np.abs(m * c2 - k * s2)
+                off = np.abs(m * s2 + k * c2)
+                return np.maximum(diag, off + skew) / rho[r]
+            return self._slabwise(formula)
         return self._get("gem_field", build)
 
     @property

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import GridStructure
-from .grids import BaseGrid, FiberGrid, GridError
+from .grids import BASE_MODES, BaseGrid, FiberGrid, GridError
 from .structures import FinslerStructure, SingularMetricError
 
 __all__ = [
@@ -71,7 +71,7 @@ class FlowState:
     step_index: int = 0
     mode: str = "unnormalized"  # one of MODES
     stepper: str = "euler"  # one of STEPPERS
-    base_mode: str = "fd4"
+    base_mode: str = "fd4"  # one of grids.BASE_MODES
     safety: float = 0.25
     fiber_cut: int | None = None
     name: str = "state"
@@ -81,6 +81,8 @@ class FlowState:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.stepper not in STEPPERS:
             raise ValueError(f"stepper must be one of {STEPPERS}, got {self.stepper!r}")
+        if self.base_mode not in BASE_MODES:
+            raise ValueError(f"base_mode must be one of {BASE_MODES}, got {self.base_mode!r}")
         if not self.safety > 0:
             raise ValueError(f"safety factor must be positive, got {self.safety}")
         if self.fiber_cut is not None and self.fiber_cut < 0:
@@ -471,10 +473,14 @@ def read_checkpoint(path: str) -> FlowState:
     if not np.isfinite(logF).all():
         raise FlowError(f"{path}: logF holds non-finite values")
     logF = logF.reshape(shape)
+    fiber_cut, safety = record.get("fiber_cut"), record.get("safety", 0.25)
+    if fiber_cut is not None and (isinstance(fiber_cut, bool) or not isinstance(fiber_cut, int)):
+        raise FlowError(f"{path}: fiber_cut must be an integer or null, got {fiber_cut!r}")
+    if isinstance(safety, bool) or not isinstance(safety, (int, float)):
+        raise FlowError(f"{path}: safety must be a number, got {safety!r}")
     return FlowState(
         bgrid=bgrid, fgrid=fgrid, logF=logF, t=record["time"],
         step_index=record["step"], mode=record["mode"], stepper=record["stepper"],
-        base_mode=record["base_mode"], safety=record.get("safety", 0.25),
-        fiber_cut=record.get("fiber_cut"),
+        base_mode=record["base_mode"], safety=safety, fiber_cut=fiber_cut,
         name=record.get("name", "state"),
     )

@@ -1,4 +1,12 @@
-"""Periodic chart grids and base-coordinate differentiation engines."""
+"""Periodic chart grids and base-coordinate differentiation engines.
+
+A base derivative is either 4th-order periodic central differences
+('fd4') or the derivative of the trigonometric interpolant ('spectral'),
+the two ``BASE_MODES``.  The FD4 stencil runs on a block padded by two
+nodes along its axis: ``_fd4_first``/``_fd4_second`` pad by periodic wrap,
+and the grid's slab engine (:mod:`finslerflow.fields`) pads an x1-slab with
+its periodic halo rows, so both give the same bits.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["BaseGrid", "FiberGrid", "build_grid", "base_derivative", "GridError"]
+__all__ = ["BaseGrid", "FiberGrid", "build_grid", "base_derivative", "GridError", "BASE_MODES"]
+
+BASE_MODES = ("fd4", "spectral")
 
 
 class GridError(ValueError):
@@ -100,14 +110,30 @@ def build_grid(n: int, N_x, L, N_theta: int) -> tuple[BaseGrid, FiberGrid]:
 # differentiation of grid-sampled fields
 # ---------------------------------------------------------------------------
 
+def _wrap_rows(f: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
+    """Indices start..stop-1 of ``axis``, taken modulo its length (a copy)."""
+    return np.take(f, np.arange(start, stop) % f.shape[axis], axis=axis)
+
+
+def _fd4_padded(p: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
+    """FD4 derivative of a block padded by two nodes on each side of ``axis``.
+
+    The terms are summed in the order of the roll form, f(i+2) first, so a
+    padded slab gives the same bits as the whole periodic field.
+    """
+    n = p.shape[axis] - 4
+    r = lambda s: p[(slice(None),) * axis + (slice(2 + s, 2 + s + n),)]
+    if order == 1:
+        return (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) / (12.0 * h)
+    return (-r(2) + 16.0 * r(1) - 30.0 * r(0) + 16.0 * r(-1) - r(-2)) / (12.0 * h * h)
+
+
 def _fd4_first(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    r = lambda s: np.roll(f, -s, axis=axis)
-    return (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) / (12.0 * h)
+    return _fd4_padded(_wrap_rows(f, axis, -2, f.shape[axis] + 2), axis, h, 1)
 
 
 def _fd4_second(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    r = lambda s: np.roll(f, -s, axis=axis)
-    return (-r(2) + 16.0 * r(1) - 30.0 * f + 16.0 * r(-1) - r(-2)) / (12.0 * h * h)
+    return _fd4_padded(_wrap_rows(f, axis, -2, f.shape[axis] + 2), axis, h, 2)
 
 
 def _spectral(f: np.ndarray, axis: int, L: float, order):
@@ -142,6 +168,8 @@ def base_derivative(
     ``mode`` is 'fd4' (4th-order periodic central differences, the default)
     or 'spectral' (trigonometric interpolation).
     """
+    if mode not in BASE_MODES:
+        raise GridError(f"unknown base derivative mode {mode!r}")
     if order not in (1, 2):
         raise GridError(f"base derivative order must be 1 or 2, got {order}")
     if axis < 0 or axis >= grid.n:
@@ -153,7 +181,5 @@ def base_derivative(
     h = grid.spacing[axis]
     if mode == "fd4":
         return _fd4_first(field, axis, h) if order == 1 else _fd4_second(field, axis, h)
-    if mode == "spectral":
-        return _spectral(field, axis, grid.lengths[axis], order)
-    raise GridError(f"unknown base derivative mode {mode!r}")
+    return _spectral(field, axis, grid.lengths[axis], order)
 

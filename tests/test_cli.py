@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +131,34 @@ def test_flow_determinism_byte_identical(capsys, tmp_path):
         assert code == 0
         outs.append(Path(out_dir, "diagnostics.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def _can_pin_one_cpu():
+    return hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+@pytest.mark.skipif(not _can_pin_one_cpu(), reason="needs CPU affinity and two CPUs")
+@pytest.mark.parametrize("grid", ["24,24,32", "40,32,32"])
+def test_flow_one_cpu_byte_identical(tmp_path, grid):
+    """C11's flow pinned to one CPU (slabs run inline) writes the bytes of an unpinned run.
+
+    24^2 x 32 is C11's grid, one slab; 40 x 32 x 32 runs slabs of 32 and 8
+    rows, on the worker pool when it is not pinned.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    cpu = min(os.sched_getaffinity(0))
+    outs = {}
+    for tag, pin in (("pinned", lambda: os.sched_setaffinity(0, {cpu})), ("free", None)):
+        out = tmp_path / tag
+        proc = subprocess.run(
+            [sys.executable, "-m", "finslerflow", "flow", "--metric", "conformal-torus",
+             "--grid", grid, "--steps", "6", "--normalized", "--fiber-cut", "4",
+             "--out", str(out)],
+            env=env, preexec_fn=pin, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs[tag] = [(out / f).read_bytes() for f in ("diagnostics.csv", "checkpoint_final.json")]
+    assert outs["pinned"] == outs["free"]
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

@@ -1,10 +1,12 @@
 """Grid pipeline, Liouville measure, integrals, and the curvature functional."""
 
+import sys
+
 import numpy as np
 import pytest
 
 import finslerflow as ff
-from finslerflow import algebra
+from finslerflow import algebra, fields
 from finslerflow.fields import (
     GridStructure,
     TensorField,
@@ -12,7 +14,7 @@ from finslerflow.fields import (
     horizontal_cov_deriv,
     theta_derivative,
 )
-from finslerflow.grids import GridError
+from finslerflow.grids import GridError, base_derivative
 from finslerflow.jets import cos_, sin_, sqrt_
 from finslerflow.measure import (
     functional_report,
@@ -432,3 +434,101 @@ def test_grid_singular_metric_names_node(grids_small):
     with pytest.raises(SingularMetricError) as info:
         GridStructure(logF, bg, fg).huu
     assert info.value.min_eig == gs.min_eig_g
+
+
+def _roll_fd4(f, axis, h):
+    """The periodic FD4 first derivative written with np.roll, term order f(i+2) first."""
+    r = lambda s: np.roll(f, -s, axis=axis)
+    return (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) / (12.0 * h)
+
+
+def _polar_reference(gs):
+    """Reference: the closed forms as whole-array formulas, one pass per term.
+
+    x-derivatives are np.roll FD4 in fd4 mode and ``base_derivative`` in
+    spectral mode; theta-derivatives are ``theta_derivative``.
+    """
+    F2 = gs.F2
+    c, s = gs.e.T
+
+    def dx(f, axis):
+        if gs.base_mode == "fd4":
+            return _roll_fd4(f, axis, gs.bgrid.spacing[axis])
+        return base_derivative(f, gs.bgrid, axis, 1, "spectral")
+
+    def frame_dx(f):
+        d1, d2 = dx(f, 0), dx(f, 1)
+        return c * d1 + s * d2, c * d2 - s * d1
+
+    u1, u2 = theta_derivative(gs.logF, (1, 2))
+    a = 1.0 + u2 + 2.0 * u1 * u1
+    rho = F2 * (1.0 + u2 + u1 * u1)
+    Du, Dpu = (d / (2.0 * F2) for d in frame_dx(F2))
+    Du1 = theta_derivative(Du) - Dpu
+    W2 = 2.0 * (1.0 + u2 + u1 * u1)
+    P = ((1.0 + u2) * Du - u1 * Du1 + u1 * Dpu) / W2
+    Q = (u1 * Du + Du1 - Dpu) / W2
+    DP, _ = frame_dx(P)
+    DQ, DpQ = frame_dx(Q)
+    Q1, Q2 = theta_derivative(Q, (1, 2))
+    R = (
+        -DP + 2.0 * DpQ - (theta_derivative(DQ) - DpQ) + P * P
+        + 2.0 * Q * theta_derivative(P) + 2.0 * Q * Q2
+        + 4.0 * Q * Q - Q1 * Q1
+    )
+    R1, R2 = theta_derivative(R, (1, 2))
+    h = 0.5 * R2
+    m = 0.5 * ((a - 1.0) * R - h)
+    p = 0.5 * a * R1 - u1 * (R + h)
+    q = 0.5 * R1 - u1 * R
+    k, skew = 0.5 * (p + q), np.abs(0.5 * (p - q))
+    c2, s2 = np.cos(2.0 * gs.thetas), np.sin(2.0 * gs.thetas)
+    gem = np.maximum(np.abs(m * c2 - k * s2), np.abs(m * s2 + k * c2) + skew) / rho
+    return {
+        "rho": rho,
+        "min_eig_field": F2 * algebra.sym2_min_eig(1.0, u1, a),
+        "ricci_scalar": R,
+        "huu": R / F2,
+        "h_tilde": ((1.0 + a) * R - u1 * R1 + 0.5 * R2) / rho,
+        "gem_field": gem,
+    }
+
+
+_POLAR_KEYS = ("rho", "min_eig_field", "ricci_scalar", "huu", "h_tilde", "gem_field")
+
+
+@pytest.mark.parametrize("mode", ["fd4", "spectral"])
+@pytest.mark.parametrize("name", ["randers-torus", "conformal-torus"])
+@pytest.mark.parametrize(
+    "shape", [(64, 64, 64), (20, 48, 48), (9, 64, 64), (8, 8, 16)],
+    ids=["64x64x64", "20x48x48", "9x64x64", "8x8x16"],
+)
+def test_polar_slabs_bit_identical(name, shape, mode):
+    """The x1-slab closed forms give the bits of the whole-array formulas.
+
+    64^2 x 64 runs 8 slabs of 8 rows; 20 x 48 x 48 runs 14 + 6 rows and
+    9 x 64 x 64 runs 8 + 1, so the FD4 halo of the last slab wraps past a
+    short slab; 8^2 x 16 is one slab, run inline.
+    """
+    bg, fg = ff.build_grid(2, shape[:2], TWO_PI, shape[2])
+    gs = GridStructure(ff.get_entry(name).structure, bg, fg, base_mode=mode)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # workers interleave as often as they can
+    try:
+        got = {key: getattr(gs, key) for key in _POLAR_KEYS}
+    finally:
+        sys.setswitchinterval(switch)
+    for key, want in _polar_reference(gs).items():
+        assert np.array_equal(got[key], want), key
+
+
+def test_slab_workers_see_the_callers_errstate():
+    """A slab task runs under the caller's np.errstate, and its exception reaches the caller."""
+    out = np.ones((4, 8))
+
+    def task(rows):
+        out[rows] = out[rows] / 0.0
+
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            fields._run_slabs(task, [slice(0, 2), slice(2, 4)])

@@ -427,7 +427,9 @@ def test_flow_state_rejects_unknown_mode():
         FlowState(bg, fg, np.zeros(bg.shape + (fg.n_theta,)), mode="normalised")
 
 
-@pytest.mark.parametrize("key, value", [("mode", "bogus"), ("stepper", "rk5")])
+@pytest.mark.parametrize(
+    "key, value", [("mode", "bogus"), ("stepper", "rk5"), ("base_mode", "bogus")]
+)
 def test_checkpoint_unknown_configuration_rejected(tmp_path, conformal, key, value):
     p = tmp_path / "chk.json"
     write_checkpoint(str(p), make_state(conformal, N=16, NT=32))
@@ -435,4 +437,18 @@ def test_checkpoint_unknown_configuration_rejected(tmp_path, conformal, key, val
     rec[key] = value
     p.write_text(json.dumps(rec))
     with pytest.raises(ValueError, match=f"{key} must be one of"):
+        read_checkpoint(str(p))
+
+
+@pytest.mark.parametrize(
+    "key, value", [("fiber_cut", "2"), ("fiber_cut", True), ("safety", None), ("safety", "0.25")]
+)
+def test_checkpoint_mistyped_configuration_rejected(tmp_path, conformal, key, value):
+    """A mistyped fiber_cut or safety raises FlowError naming the field, not a bare TypeError."""
+    p = tmp_path / "chk.json"
+    write_checkpoint(str(p), make_state(conformal, N=16, NT=32, fiber_cut=2))
+    rec = json.loads(p.read_text())
+    rec[key] = value
+    p.write_text(json.dumps(rec))
+    with pytest.raises(FlowError, match=key):
         read_checkpoint(str(p))

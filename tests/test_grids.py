@@ -83,6 +83,20 @@ def test_fd4_convergence_order(order):
     assert min(rates) >= 3.7
 
 
+@pytest.mark.parametrize("shape", [(64, 64, 64), (48, 48, 48, 2, 2), (8, 8, 16)])
+def test_fd4_padded_stencil_matches_roll_form(shape):
+    """The padded-block FD4 gives the bits of the four-np.roll form, both axes and orders."""
+    f = np.random.default_rng(3).standard_normal(shape)
+    bg = BaseGrid(2, shape[:2], (2 * np.pi, 3.0), (True, True))
+    for axis in (0, 1):
+        h = bg.spacing[axis]
+        r = lambda s: np.roll(f, -s, axis=axis)
+        first = (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) / (12.0 * h)
+        second = (-r(2) + 16.0 * r(1) - 30.0 * f + 16.0 * r(-1) - r(-2)) / (12.0 * h * h)
+        assert np.array_equal(base_derivative(f, bg, axis, 1, "fd4"), first)
+        assert np.array_equal(base_derivative(f, bg, axis, 2, "fd4"), second)
+
+
 def test_second_derivative_spectral():
     bg, _ = build_grid(2, 32, 2 * np.pi, 16)
     x = bg.nodes()
