@@ -14,11 +14,12 @@ disk metric, and constant-curvature sphere patches):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
+from . import algebra, workers
 from .connections import PointAssembly
 from .structures import FinslerStructure
 
@@ -68,6 +69,13 @@ def ricci_tensors(fs: FinslerStructure, x, y):
     return cb.ricci, cb.ricci_tilde
 
 
+# Points per part of a large ricci_directional batch.  Each part stays far
+# above jets._GROUPED_MAX_POINTS, so it takes the triplet product the whole
+# batch takes; smaller parts lose to the GIL hand-offs between the parts'
+# Python loops.
+_PART_POINTS = 16384
+
+
 def ricci_directional(fs: FinslerStructure, x, y, base_mode: str = "analytic") -> np.ndarray:
     """H(u,u) with u = y/F: a 0-homogeneous scalar.
 
@@ -77,11 +85,44 @@ def ricci_directional(fs: FinslerStructure, x, y, base_mode: str = "analytic") -
     Base derivatives are always analytic jets: ``base_mode`` is kept only for
     callers that still pass it, and any value but ``"analytic"`` raises
     ``ValueError``.
+
+    A batch of at least 2 * 16384 points is cut along its first axis into
+    ``points // 16384`` contiguous parts, run on the package's worker pool
+    (``workers.run``).  No jet operation reduces across points, so the
+    result is bit-identical to one unsplit assembly.  If a part raises, the
+    whole batch is rerun unsplit, so an error is the unsplit call's.
     """
     if base_mode != "analytic":
         raise ValueError(f"unknown base mode {base_mode!r}: pointwise jets are analytic only")
-    pa = PointAssembly(fs, x, y, forder=4, border=2)
-    return pa.huu
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    try:
+        lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    except ValueError:  # the unsplit call raises its own error
+        lead = ()
+    k = min(math.prod(lead) // _PART_POINTS, lead[0]) if lead else 1
+    if k < 2:
+        return _huu(fs, x, y)
+    out = np.empty(lead)
+
+    def cut(a, rows):  # an input without the batch's first axis broadcasts whole
+        return a[rows] if a.ndim - 1 == len(lead) and a.shape[0] == lead[0] else a
+
+    def task(rows):
+        out[rows] = _huu(fs, cut(x, rows), cut(y, rows))
+
+    try:
+        workers.run(task, [slice(lead[0] * i // k, lead[0] * (i + 1) // k) for i in range(k)])
+    except Exception:
+        # a part's error names points by their index in the part, and an f2
+        # that holds batch-sized arrays fails in every part: the unsplit call
+        # raises the error (or returns the values) a caller expects
+        return _huu(fs, x, y)
+    return out
+
+
+def _huu(fs: FinslerStructure, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return PointAssembly(fs, x, y, forder=4, border=2).huu
 
 
 def hat_scalars(fs: FinslerStructure, x, y, c_fun=None):

@@ -22,30 +22,26 @@ orders, so that u', u'' (and R', R'', Q', Q'') share one rfft.
 
 The closed forms are built in x1-slabs of about 32768 points (8 rows at
 64^2 x 64), each written into preallocated full-size fields, so that a
-formula's temporaries stay in cache.  Slabs run on a thread pool with one
-worker per CPU the process may use (``os.sched_getaffinity``), created on
-first use; with one CPU or one slab they run inline.  A slab keeps the
-whole fiber axis and the whole x2 axis, so theta- and x2-derivatives are
-taken inside it; an FD4 d/dx1 reads a two-row periodic halo around the
-slab, and a spectral d/dx1 is one whole-field transform taken before the
-slab pass.  Every element is computed by the same operations in the same
-order as on the whole field, so the fields are bit-identical for any slab
-count or worker count; that is why there is no thread setting (pin the
-process with ``taskset`` to run it on one CPU).  The workers call only
-``grids._spectral`` and the padded FD4 stencil, never a cache builder or
-a traced function, and never submit to the pool themselves.
+formula's temporaries stay in cache.  Slabs run through ``workers.run``, on
+the worker pool that ``curvature.ricci_directional``'s batch parts share;
+with one CPU or one slab they run inline.  A slab keeps the whole fiber axis
+and the whole x2 axis, so theta- and x2-derivatives are taken inside it; an
+FD4 d/dx1 reads a two-row periodic halo around the slab, and a spectral
+d/dx1 is one whole-field transform taken before the slab pass.  Every
+element is computed by the same operations in the same order as on the
+whole field, so the fields are bit-identical for any slab count or worker
+count.  The slab tasks call only ``grids._spectral`` and the padded FD4
+stencil, never a cache builder or a traced function.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from . import algebra
+from . import algebra, workers
 from .grids import (
     BaseGrid, FiberGrid, GridError, _fd4_padded, _spectral, _wrap_rows, base_derivative,
 )
@@ -76,38 +72,6 @@ def _dtheta(w: np.ndarray, order=1):
 # Points per x1-slab of the polar closed forms (8 rows at 64^2 x 64): the
 # few slab-sized temporaries a formula keeps live fit in a core's L2 cache.
 _SLAB_POINTS = 32768
-
-
-@lru_cache(maxsize=None)
-def _slab_pool(pid: int):
-    """One worker per CPU this process may run on, or None with one CPU.
-
-    Keyed by process id, so that a forked child starts its own workers.
-    ``concurrent.futures`` (and the ``logging`` it loads) is imported here,
-    so that the pointwise routes, which never build a slab, do not pay for
-    it at import.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    n = len(os.sched_getaffinity(0))
-    return ThreadPoolExecutor(n, thread_name_prefix="finslerflow-slab") if n > 1 else None
-
-
-def _run_slabs(task, slabs: list) -> None:
-    """Run ``task(rows)`` for every slab, on the worker pool when it has one.
-
-    Each task runs in a copy of the caller's context, so a caller's
-    ``np.errstate`` holds in the workers; every result is read, so a
-    worker's exception is raised here.
-    """
-    pool = _slab_pool(os.getpid()) if len(slabs) > 1 else None
-    if pool is None:
-        for rows in slabs:
-            task(rows)
-        return
-    futures = [pool.submit(contextvars.copy_context().run, task, rows) for rows in slabs]
-    for f in futures:
-        f.result()
 
 
 def fiber_partials(w: np.ndarray, d: int, thetas: np.ndarray) -> np.ndarray:
@@ -244,7 +208,7 @@ class GridStructure(algebra.ConnectionStack):
             for out, value in zip(outs, values if n > 1 else (values,)):
                 out[rows] = value
 
-        _run_slabs(task, self._slab_rows)
+        workers.run(task, self._slab_rows)
         return tuple(outs) if n > 1 else outs[0]
 
     def _x1_source(self, *fields) -> tuple:

@@ -1,5 +1,10 @@
 """Curvature stack: hh-curvature, Ricci scalars, GEM residuals."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -286,3 +291,146 @@ def test_nan_metric_raises():
     with pytest.raises(SingularMetricError) as info:
         ff.ricci_directional(nan_structure(np.array([1.0, np.nan, -1.0])), xs, y)
     assert np.isnan(info.value.min_eig) and info.value.where == (1,)
+
+
+# -- large ricci_directional batches run in parts on the worker pool --------
+
+def _unsplit_huu(fs, x, y):
+    return PointAssembly(fs, x, y, forder=4, border=2).huu
+
+
+def _interleaved(fn, *args):
+    """``fn(*args)`` with the worker threads switching as often as they can."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return fn(*args)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("name, count", [
+    ("conformal-torus", 40000), ("randers-torus", 40000), ("funk-disk", 40000),
+    ("conformal-torus", 65537),
+])
+def test_ricci_directional_parts_bit_identical(name, count):
+    """2 parts, and 4 uneven ones (65537 = 16385 + 3 x 16384), give the bytes of one assembly."""
+    fs = ff.get_entry(name).structure
+    xs, ys = sample_points(fs, count)
+    got = _interleaved(ff.ricci_directional, fs, xs, ys)
+    assert got.tobytes() == _unsplit_huu(fs, xs, ys).tobytes()
+
+
+def test_ricci_directional_parts_broadcast_bit_identical(conformal):
+    """One x against many y, and a 2-D batch cut along its first axis."""
+    fs = conformal.structure
+    xs, ys = sample_points(fs, 40000)
+    got = _interleaved(ff.ricci_directional, fs, xs[7], ys)
+    assert got.shape == (40000,)
+    assert got.tobytes() == _unsplit_huu(fs, xs[7], ys).tobytes()
+    x2, y2 = xs[:200, None, :], ys[None, :200, :]  # 200 x 200 points, 2 parts of 100 rows
+    got = _interleaved(ff.ricci_directional, fs, x2, y2)
+    assert got.shape == (200, 200)
+    assert got.tobytes() == _unsplit_huu(fs, x2, y2).tobytes()
+
+
+CHILD_PARTS = """
+import os, sys
+import numpy as np
+import finslerflow as ff
+from finslerflow import workers
+from finslerflow.structures import sample_points
+
+assert (workers._pool(os.getpid()) is None) == (sys.argv[1] == "pinned")
+fs = ff.get_entry("randers-torus", b=0.3).structure
+xs, ys = sample_points(fs, 40000)
+sys.stdout.write(ff.ricci_directional(fs, xs, ys).tobytes().hex())
+"""
+
+
+@pytest.mark.skipif(
+    not (hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) > 1),
+    reason="needs CPU affinity and two CPUs",
+)
+def test_ricci_directional_one_cpu_bit_identical(randers):
+    """In a fresh process (cold jet tables), pinned to one CPU (parts inline) and
+    free (parts on the pool), the parts give the bytes of one assembly."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    cpu = min(os.sched_getaffinity(0))
+    xs, ys = sample_points(randers.structure, 40000)
+    want = _unsplit_huu(randers.structure, xs, ys).tobytes().hex()
+    for tag, pin in (("pinned", lambda: os.sched_setaffinity(0, {cpu})), ("free", None)):
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD_PARTS, tag], env=env, capture_output=True, text=True,
+            preexec_fn=pin, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want, tag
+
+
+def _nan_at(a, k):
+    a = a.copy()
+    a[k] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("case", ["nan-x", "y-zero", "closure"])
+def test_ricci_directional_failing_part_raises_unsplit_error(conformal, case):
+    """A part that raises gives the unsplit call's error, naming the point in the whole batch.
+
+    The bad point (30000) lies in the second of two parts.  ``closure`` is an
+    f2 that multiplies by a batch-sized array, so each part fails on the
+    broadcast and only the rerun of the whole batch finds the NaN.
+    """
+    fs = conformal.structure
+    xs, ys = sample_points(fs, 40000)
+    if case == "nan-x":
+        xs = _nan_at(xs, 30000)
+    elif case == "y-zero":
+        ys = ys.copy()
+        ys[30000] = 0.0
+    else:
+        w = _nan_at(np.ones(40000), 30000)
+        fs = FinslerStructure(
+            2, "closure", Chart("plane", bound=10.0),
+            lambda x, y: w * (y[0] * y[0] + y[1] * y[1]),
+        )
+    errors = []
+    for fn in (ff.ricci_directional, _unsplit_huu):
+        with pytest.raises(Exception) as info:
+            fn(fs, xs, ys)
+        errors.append(info.value)
+    split, whole = errors
+    assert type(split) is type(whole) and str(split) == str(whole)
+    assert getattr(split, "where", None) == getattr(whole, "where", None)
+    if case != "y-zero":
+        assert split.where == (30000,) and np.isnan(split.min_eig)
+
+
+def test_ricci_directional_batch_closure_reruns_unsplit():
+    """An f2 holding batch-sized arrays fails in every part, and the rerun returns its value."""
+    xs, ys = sample_points(ff.get_entry("euclidean").structure, 40000)
+    w = 1.0 + 0.5 * np.cos(np.arange(40000))
+    fs = FinslerStructure(
+        2, "closure", Chart("plane", bound=10.0), lambda x, y: w * (y[0] * y[0] + y[1] * y[1])
+    )
+    assert ff.ricci_directional(fs, xs, ys).tobytes() == _unsplit_huu(fs, xs, ys).tobytes()
+
+
+def test_pointwise_scalar_calls_never_reach_the_pool(monkeypatch, funk, sphere):
+    """Single-point reports, the 64-angle GEM sweep, geodesic segments and a batch
+    one point short of two parts never ask for the worker pool."""
+    from finslerflow import workers
+
+    def no_pool(pid):
+        raise AssertionError("the worker pool was requested")
+
+    monkeypatch.setattr(workers, "_pool", no_pool)
+    x, y = np.array([0.2, 0.1]), np.array([np.cos(0.7), np.sin(0.7)])
+    curvature_bundle(funk.structure, x, y)
+    ff.gem_residual(funk.structure, x, n_theta=64)
+    path = ff.geodesic_integrate(sphere.structure, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                                 0.5, 0.125)
+    assert path.complete
+    xs, ys = sample_points(funk.structure, 2 * 16384 - 1)
+    ff.ricci_directional(funk.structure, xs, ys)

@@ -1,12 +1,13 @@
 """Grid pipeline, Liouville measure, integrals, and the curvature functional."""
 
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import finslerflow as ff
-from finslerflow import algebra, fields
+from finslerflow import algebra, fields, workers
 from finslerflow.fields import (
     GridStructure,
     TensorField,
@@ -531,4 +532,27 @@ def test_slab_workers_see_the_callers_errstate():
 
     with np.errstate(divide="raise"):
         with pytest.raises(FloatingPointError):
-            fields._run_slabs(task, [slice(0, 2), slice(2, 4)])
+            workers.run(task, [slice(0, 2), slice(2, 4)])
+
+
+
+def test_worker_run_waits_for_every_task_before_raising(monkeypatch):
+    """A failed task is raised only after the others have finished writing."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(2)
+    monkeypatch.setattr(workers, "_pool", lambda pid: pool)
+    out = np.zeros(2)
+
+    def task(i):
+        if i == 0:
+            raise RuntimeError("slab 0 failed")
+        time.sleep(0.3)
+        out[i] = 1.0
+
+    try:
+        with pytest.raises(RuntimeError, match="slab 0 failed"):
+            workers.run(task, [0, 1])
+        assert out[1] == 1.0
+    finally:
+        pool.shutdown()
