@@ -167,35 +167,56 @@ def flow_rhs(state: FlowState) -> np.ndarray:
     """d log F / dt = -(H(u,u) - c), with c = 0 in unnormalized mode."""
     gs = state.grid_structure()
     huu = gs.huu
-    if state.mode == "normalized":
-        c = gs.integrate(huu) / gs.volume
-    else:
-        c = 0.0
+    c = gs.huu_integral / gs.volume if state.mode == "normalized" else 0.0
     return -(huu - c)
 
 
 def dt_policy(state: FlowState) -> float:
     """Stable explicit step: safety * min(h)^2 / (2 n (1 + max|H(u,u)|))."""
-    gs = state.grid_structure()
-    pre = float(np.max(np.abs(gs.huu)))
+    pre = state.grid_structure().max_abs_huu
     h = min(state.bgrid.spacing)
     n = state.bgrid.n
     return state.safety * h * h / (2.0 * n * (1.0 + pre))
 
 
-def _rk4(f: Callable, y, dt: float, k1):
-    """One classical Runge-Kutta step of y' = f(y), given k1 = f(y)."""
+def _rk4_stages(f: Callable, y, dt: float, k1) -> tuple:
+    """(k2, k3, k4) of a classical Runge-Kutta step of y' = f(y), given k1 = f(y)."""
     k2 = f(y + 0.5 * dt * k1)
     k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
+    return k2, k3, f(y + dt * k3)
+
+
+def _rk4_update(y, dt: float, k1, k2, k3, k4):
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rk4(f: Callable, y, dt: float, k1):
+    """One classical Runge-Kutta step of y' = f(y), given k1 = f(y)."""
+    return _rk4_update(y, dt, k1, *_rk4_stages(f, y, dt, k1))
+
+
 def _advance(state: FlowState, dt: float) -> np.ndarray:
+    """The next log F, projected onto fiber modes <= ``fiber_cut``.
+
+    The update and the projection are theta-local, so they run as one
+    x1-slab pass of the state's grid structure.
+    """
+    y, cut = state.logF, state.fiber_cut
     k1 = flow_rhs(state)
     if state.stepper == "euler":
-        return state.logF + dt * k1
-    return _rk4(lambda logF: flow_rhs(replace(state, logF=logF)), state.logF, dt, k1)
+        def update(r):
+            return y[r] + dt * k1[r]
+    else:
+        k = (k1,) + _rk4_stages(lambda logF: flow_rhs(replace(state, logF=logF)), y, dt, k1)
+
+        def update(r):
+            return _rk4_update(y[r], dt, *(ki[r] for ki in k))
+
+    def formula(r, out):
+        out[...] = _fiber_project(update(r), cut)
+        return ()
+    (logF1,) = state.grid_structure().slabwise(formula, 1)
+    return logF1
 
 
 def step(state: FlowState, dt: float, max_retries: int = 5) -> FlowState:
@@ -208,7 +229,7 @@ def step(state: FlowState, dt: float, max_retries: int = 5) -> FlowState:
         raise ValueError("dt must be positive")
     for attempt in range(max_retries + 1):
         try:
-            logF1 = _fiber_project(_advance(state, dt), state.fiber_cut)
+            logF1 = _advance(state, dt)
             cand = replace(
                 state, logF=logF1, t=state.t + dt, step_index=state.step_index + 1
             )
@@ -254,19 +275,17 @@ class FlowDiagnostics:
 
 def diagnostics(state: FlowState, gem_stride: int = 8) -> FlowDiagnostics:
     gs = state.grid_structure()
-    huu = gs.huu
     V = gs.volume
-    I = gs.integrate(gs.h_tilde)
-    c = gs.integrate(huu) / V
+    I = gs.h_tilde_integral
     return FlowDiagnostics(
         step=state.step_index,
         time=state.t,
         V=V,
         I=I,
         I_norm=I,  # n = 2: normalization exponent vanishes
-        c=c,
+        c=gs.huu_integral / V,
         min_eig_g=gs.min_eig_g,
-        max_abs_huu=float(np.max(np.abs(huu))),
+        max_abs_huu=gs.max_abs_huu,
         gem_residual=gs.gem_residual(stride=gem_stride),
     )
 
@@ -410,9 +429,12 @@ def write_checkpoint(path: str, state: FlowState) -> None:
 
     Version 2 stores ``logF`` as the base64 of its float64 little-endian
     bytes in C order (x1 outer, x2 middle, theta inner), so it reads back
-    exactly; version 1 stored the same values as a JSON list.
+    exactly; version 1 stored the same values as a JSON list.  Base64 needs
+    no JSON escaping, so its bytes go to the file as they are, after the
+    rest of the record: the file is what ``json.dump`` of the whole record
+    writes, without escaping 2.8 MB of text at 64^3.
     """
-    record = {
+    header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "grid": {
@@ -429,11 +451,13 @@ def write_checkpoint(path: str, state: FlowState) -> None:
         "safety": state.safety,
         "fiber_cut": state.fiber_cut,
         "name": state.name,
-        "logF": base64.b64encode(np.asarray(state.logF, dtype="<f8").tobytes()).decode("ascii"),
     }
+    head = json.dumps(header)[:-1] + ', "logF": "'  # ASCII: non-ASCII is escaped
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(record, fh)
+    with open(tmp, "wb") as fh:
+        fh.write(head.encode("ascii"))
+        fh.write(base64.b64encode(np.asarray(state.logF, dtype="<f8").tobytes()))
+        fh.write(b'"}')
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

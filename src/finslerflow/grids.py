@@ -123,9 +123,21 @@ def _fd4_padded(p: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
     """
     n = p.shape[axis] - 4
     r = lambda s: p[(slice(None),) * axis + (slice(2 + s, 2 + s + n),)]
+    # in place, with -f(i+2) + x taken as x - f(i+2): the same sums, fewer temporaries
     if order == 1:
-        return (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) / (12.0 * h)
-    return (-r(2) + 16.0 * r(1) - 30.0 * r(0) + 16.0 * r(-1) - r(-2)) / (12.0 * h * h)
+        out = 8.0 * r(1)
+        out -= r(2)
+        out -= 8.0 * r(-1)
+        out += r(-2)
+        out /= 12.0 * h
+        return out
+    out = 16.0 * r(1)
+    out -= r(2)
+    out -= 30.0 * r(0)
+    out += 16.0 * r(-1)
+    out -= r(-2)
+    out /= 12.0 * h * h
+    return out
 
 
 def _fd4_first(f: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -147,11 +159,13 @@ def _spectral(f: np.ndarray, axis: int, L: float, order):
     sh = [1] * fh.ndim
     sh[axis] = fh.shape[axis]
     out = []
-    for m in orders:
+    for i, m in enumerate(orders):
         k = 2.0 * np.pi / L * np.arange(fh.shape[axis])
         if m % 2 == 1 and N % 2 == 0:
             k[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
-        out.append(np.fft.irfft(fh * ((1j * k) ** m).reshape(sh), n=N, axis=axis))
+        dh = fh if i == len(orders) - 1 else fh.copy()  # the last order takes fh in place
+        dh *= ((1j * k) ** m).reshape(sh)
+        out.append(np.fft.irfft(dh, n=N, axis=axis))
     return tuple(out) if isinstance(order, tuple) else out[0]
 
 

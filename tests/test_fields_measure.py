@@ -523,6 +523,16 @@ def test_polar_slabs_bit_identical(name, shape, mode):
         assert np.array_equal(got[key], want), key
 
 
+def test_rho_builds_no_spray(randers):
+    """The Liouville density reads the metric pass only: no P, Q or R^k_k."""
+    bg, fg = ff.build_grid(2, 16, TWO_PI, 32)
+    gs = GridStructure(randers.structure, bg, fg)
+    gs.rho
+    assert set(gs._cache) == {"metric", "rho"}
+    gs.volume
+    assert set(gs._cache) == {"metric", "rho", "volume"}
+
+
 def test_slab_workers_see_the_callers_errstate():
     """A slab task runs under the caller's np.errstate, and its exception reaches the caller."""
     out = np.ones((4, 8))

@@ -2,6 +2,9 @@
 
 import base64
 import json
+import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -452,3 +455,130 @@ def test_checkpoint_mistyped_configuration_rejected(tmp_path, conformal, key, va
     p.write_text(json.dumps(rec))
     with pytest.raises(FlowError, match=key):
         read_checkpoint(str(p))
+
+
+def _whole_array_step(state, dt):
+    """Reference: the update, the fiber projection and F^2 as whole-array code."""
+    k1 = flow_rhs(state)
+    y = state.logF
+    if state.stepper == "euler":
+        new = y + dt * k1
+    else:
+        stage = lambda logF: flow_rhs(replace(state, logF=logF))  # noqa: E731
+        k2 = stage(y + 0.5 * dt * k1)
+        k3 = stage(y + 0.5 * dt * k2)
+        k4 = stage(y + dt * k3)
+        new = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    c = np.fft.rfft(new, axis=-1)
+    c[..., state.fiber_cut + 1:] = 0.0
+    new = np.fft.irfft(c, n=new.shape[-1], axis=-1)
+    return new, np.exp(2.0 * new)
+
+
+_SLAB_SHAPES = pytest.mark.parametrize(
+    "shape", [(64, 64, 64), (20, 48, 48), (9, 64, 64), (8, 8, 16)],
+    ids=["64x64x64", "20x48x48", "9x64x64", "8x8x16"],
+)
+
+
+@_SLAB_SHAPES
+@pytest.mark.parametrize("stepper", ["euler", "rk4"])
+@pytest.mark.parametrize("mode", ["fd4", "spectral"])
+def test_step_slab_pass_bit_identical(randers, shape, mode, stepper):
+    """The slab pass of the update and the fiber projection, and the candidate's
+    slab-built F^2, give the bits of the whole-array code (the shapes of
+    ``test_polar_slabs_bit_identical``: 8 slabs, uneven last slabs, one slab)."""
+    bg, fg = ff.build_grid(2, shape[:2], TWO_PI, shape[2])
+    st = encode_state(randers.structure, bg, fg, mode="normalized", stepper=stepper,
+                      base_mode=mode, fiber_cut=6)
+    want_logF, want_F2 = _whole_array_step(st, 1e-3)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # workers interleave as often as they can
+    try:
+        got = step(st, 1e-3)
+    finally:
+        sys.setswitchinterval(switch)
+    assert got.t == 1e-3  # accepted without a halving
+    assert np.array_equal(got.logF, want_logF)
+    assert np.array_equal(got.grid_structure().F2, want_F2)
+
+
+@_SLAB_SHAPES
+def test_diagnostics_slab_sums_match_np_sum(randers, shape):
+    """V, I and c from the per-slab sums equal ``integrate`` (one np.sum) at
+    64^3, whose 8 slabs of 32768 points follow numpy's pairwise tree, and
+    agree to 1e-14 relative at the other shapes; the extrema are exact."""
+    bg, fg = ff.build_grid(2, shape[:2], TWO_PI, shape[2])
+    st = encode_state(randers.structure, bg, fg, mode="normalized")
+    d = diagnostics(st)
+    gs = st.grid_structure()
+    V = gs.integrate(np.ones_like(gs.F2))
+    want = {"V": V, "I": gs.integrate(gs.h_tilde), "c": gs.integrate(gs.huu) / V}
+    for key, value in want.items():
+        if shape == (64, 64, 64):
+            assert getattr(d, key) == value, key
+        else:
+            assert abs(getattr(d, key) - value) <= 1e-14 * abs(value), key
+    assert d.max_abs_huu == float(np.max(np.abs(gs.huu)))
+    assert d.min_eig_g == float(np.min(gs.min_eig_field))
+    h = min(bg.spacing)
+    assert dt_policy(st) == st.safety * h * h / (2.0 * 2 * (1.0 + d.max_abs_huu))
+
+
+def test_flow_rhs_builds_no_htilde(randers):
+    """An rk4 stage reads H(u,u) and its integral only: no Htilde, GEM gap or R'."""
+    st = make_state(randers, N=16, NT=32, mode="normalized", stepper="rk4")
+    stage = replace(st, logF=st.logF + 1e-4)
+    flow_rhs(stage)
+    cache = stage.grid_structure()._cache
+    assert "huu_integral" in cache
+    assert not {"h_tilde", "gem_field", "htilde_gem", "h_tilde_integral"} & set(cache)
+
+
+def test_non_convex_state_raises_without_warning():
+    """A non-convex state raises SingularMetricError naming its worst node, before
+    any spray division can warn."""
+    bg, fg = ff.build_grid(2, 16, TWO_PI, 32)
+    x = bg.nodes()
+    amp = 0.05 + 0.05 * (1.0 + np.cos(x[..., 0]))  # above 1/16 near x1 = 0
+    st = FlowState(bg, fg, logF=amp[..., None] * np.cos(4.0 * fg.thetas), mode="normalized")
+    lam = GridStructure(st.logF, bg, fg).min_eig_field
+    for call in (flow_rhs, diagnostics):
+        fresh = replace(st)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ff.SingularMetricError) as info:
+                call(fresh)
+        assert info.value.min_eig == lam.min() < 0
+        assert info.value.where == np.unravel_index(np.argmin(lam), lam.shape)
+        assert "trace" not in fresh.grid_structure()._cache
+
+
+def test_checkpoint_bytes_equal_json_dump(tmp_path, conformal):
+    """The streamed record is the bytes of ``json.dump`` of the whole record,
+    also for a name that JSON escapes, and reads back exactly."""
+    st = replace(make_state(conformal, N=16, NT=32, fiber_cut=2), name='torus "é"', t=0.1)
+    p = tmp_path / "chk.json"
+    write_checkpoint(str(p), st)
+    record = {
+        "format": "finslerflow-checkpoint",
+        "version": 2,
+        "grid": {"n": 2, "shape": [16, 16], "lengths": list(st.bgrid.lengths), "n_theta": 32},
+        "time": 0.1,
+        "step": 0,
+        "mode": "unnormalized",
+        "stepper": "euler",
+        "base_mode": "fd4",
+        "safety": 0.25,
+        "fiber_cut": 2,
+        "name": 'torus "é"',
+        "logF": base64.b64encode(st.logF.astype("<f8").tobytes()).decode("ascii"),
+    }
+    ref = tmp_path / "ref.json"
+    with open(ref, "w") as fh:
+        json.dump(record, fh)
+    assert p.read_bytes() == ref.read_bytes()
+    back = read_checkpoint(str(p))
+    assert back.name == 'torus "é"' and back.t == 0.1 and back.fiber_cut == 2
+    assert back.logF.tobytes() == st.logF.tobytes()
+    assert not (tmp_path / "chk.json.tmp").exists()
