@@ -36,7 +36,7 @@ from .curvature import (
     curvature_bundle,
     CurvatureBundle,
 )
-from .fields import TensorField, GridStructure
+from .fields import GridStructure
 from .measure import (
     liouville_density,
     sm_integrate,

@@ -16,13 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .flow import (
-    STEPPERS,
-    FlowDiagnostics,
-    FlowError,
-    encode_state,
-    run_flow,
-)
+from .flow import STEPPERS, FlowDiagnostics, FlowError, encode_state, run_flow
 from .grids import BASE_MODES, GridError, build_grid
 from .structures import DomainError, SingularMetricError, validate_structure
 from .zoo import get_entry, list_entries
@@ -57,13 +51,15 @@ def _parse_floats(text: str, count: int | None = None):
     return vals
 
 
-def _parse_grid(text: str):
-    parts = [int(v) for v in text.split(",")]
+def _grid(args, entry):
+    """The (base, fiber) grids of ``--grid`` N1,N2,Ntheta (or N) on the entry's chart."""
+    parts = [int(v) for v in args.grid.split(",")]
     if len(parts) == 1:
         parts = [parts[0], parts[0], parts[0]]
     if len(parts) != 3:
-        raise UsageError(f"--grid wants N1,N2,Ntheta, got {text!r}")
-    return parts
+        raise UsageError(f"--grid wants N1,N2,Ntheta, got {args.grid!r}")
+    n1, n2, nt = parts
+    return build_grid(2, (n1, n2), entry.structure.chart.lengths or 2 * np.pi, nt)
 
 
 def _metric(args) -> object:
@@ -98,6 +94,15 @@ def _write_manifest(out_dir: str, args, extra=None) -> None:
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_record(args, filename: str, record) -> None:
+    """With ``--out``, write the manifest and ``record`` as ``filename`` there."""
+    if args.out:
+        _write_manifest(args.out, args)
+        with open(os.path.join(args.out, filename), "w") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _load_config_defaults(argv):
@@ -137,14 +142,8 @@ def cmd_validate(args) -> int:
         tol_positivity=args.tol_positivity,
     )
     print(report.summary())
-    if args.out:
-        _write_manifest(args.out, args)
-        with open(os.path.join(args.out, "validity.json"), "w") as fh:
-            json.dump(
-                {k: {"passed": ok, "worst": w} for k, (ok, w) in report.checks.items()},
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+    _write_record(args, "validity.json",
+                  {k: {"passed": ok, "worst": w} for k, (ok, w) in report.checks.items()})
     if not report.passed:
         failed = {k: w for k, (ok, w) in report.checks.items() if not ok}
         _error_record(EXIT_NUMERICAL, "validity checks failed", detail=failed)
@@ -178,11 +177,7 @@ def cmd_report(args) -> int:
         "gem_residual": gem_residual(fs, x, n_theta=args.n_theta),
     }
     print(json.dumps(record, indent=2, sort_keys=True))
-    if args.out:
-        _write_manifest(args.out, args)
-        with open(os.path.join(args.out, "report.json"), "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_record(args, "report.json", record)
     return EXIT_OK
 
 
@@ -191,16 +186,10 @@ def cmd_functional(args) -> int:
     from .measure import functional_report
 
     entry = _metric(args)
-    n1, n2, nt = _parse_grid(args.grid)
-    bgrid, fgrid = build_grid(2, (n1, n2), entry.structure.chart.lengths or 2 * np.pi, nt)
-    gs = GridStructure(entry.structure, bgrid, fgrid, base_mode=args.base_mode)
+    gs = GridStructure(entry.structure, *_grid(args, entry), base_mode=args.base_mode)
     rep = functional_report(gs, c_fun=args.c)
     print(json.dumps(rep.as_dict(), indent=2, sort_keys=True))
-    if args.out:
-        _write_manifest(args.out, args)
-        with open(os.path.join(args.out, "functional.json"), "w") as fh:
-            json.dump(rep.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_record(args, "functional.json", rep.as_dict())
     return EXIT_OK
 
 
@@ -216,9 +205,7 @@ def cmd_verify_identities(args) -> int:
     )
 
     entry = _metric(args)
-    n1, n2, nt = _parse_grid(args.grid)
-    bgrid, fgrid = build_grid(2, (n1, n2), entry.structure.chart.lengths or 2 * np.pi, nt)
-    gs = GridStructure(entry.structure, bgrid, fgrid, base_mode=args.base_mode)
+    gs = GridStructure(entry.structure, *_grid(args, entry), base_mode=args.base_mode)
 
     from .jets import cos_, sin_
 
@@ -250,11 +237,7 @@ def cmd_verify_identities(args) -> int:
         if v > (ctol if "dI/dt" in k else tol)
     }
     print(json.dumps(results, indent=2, sort_keys=True))
-    if args.out:
-        _write_manifest(args.out, args)
-        with open(os.path.join(args.out, "identities.json"), "w") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_record(args, "identities.json", results)
     if failures:
         _error_record(EXIT_NUMERICAL, "identity residuals over tolerance", detail=failures)
         return EXIT_NUMERICAL
@@ -263,7 +246,7 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_flow(args) -> int:
     entry = _metric(args)
-    n1, n2, nt = _parse_grid(args.grid)
+    bgrid, fgrid = _grid(args, entry)
     # checked before anything is written; --checkpoint-every and --dt may be unset
     for flag, value in (("--gem-stride", args.gem_stride), ("--steps", args.steps),
                         ("--checkpoint-every", args.checkpoint_every)):
@@ -272,12 +255,6 @@ def cmd_flow(args) -> int:
     for flag, value in (("--dt", args.dt), ("--safety", args.safety)):
         if value is not None and not value > 0:
             raise UsageError(f"{flag} must be positive, got {value}")
-    try:
-        bgrid, fgrid = build_grid(
-            2, (n1, n2), entry.structure.chart.lengths or 2 * np.pi, nt
-        )
-    except GridError as exc:
-        raise UsageError(str(exc))
     state = encode_state(
         entry.structure,
         bgrid,
@@ -290,21 +267,16 @@ def cmd_flow(args) -> int:
     )
     out_dir = args.out or "."
     _write_manifest(out_dir, args)
-    csv_path = os.path.join(out_dir, "diagnostics.csv")
-    rows = [FlowDiagnostics.CSV_HEADER]
-
-    def sink(d: FlowDiagnostics):
-        rows.append(d.csv_row())
-
     traj = run_flow(
         state,
         steps=args.steps,
         dt=args.dt,
-        sink=sink,
         gem_stride=args.gem_stride,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=out_dir,
     )
+    csv_path = os.path.join(out_dir, "diagnostics.csv")
+    rows = [FlowDiagnostics.CSV_HEADER] + [d.csv_row() for d in traj.rows]
     tmp = csv_path + ".tmp"
     with open(tmp, "w", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
@@ -312,7 +284,7 @@ def cmd_flow(args) -> int:
     if traj.failure:
         _error_record(EXIT_NUMERICAL, traj.failure, detail=traj.failure_detail)
         return EXIT_NUMERICAL
-    print(f"wrote {csv_path} ({len(rows) - 1} rows)")
+    print(f"wrote {csv_path} ({len(traj.rows)} rows)")
     return EXIT_OK
 
 
@@ -330,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metric")
         p.add_argument("--metric-params", help="JSON object of entry parameters")
         p.add_argument("--out", help="output directory (manifest + records)")
-        p.add_argument("--base-mode", default="fd4", choices=BASE_MODES)
         if grid:
+            p.add_argument("--base-mode", default="fd4", choices=BASE_MODES)
             p.add_argument("--grid", default="48,48,48", help="N1,N2,Ntheta")
 
     p = sub.add_parser("zoo", help="list catalogue entries")

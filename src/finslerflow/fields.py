@@ -57,7 +57,6 @@ call only ``grids._spectral``, the padded FD4 stencil and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -69,7 +68,6 @@ from .grids import (
 from .structures import FinslerStructure
 
 __all__ = [
-    "TensorField",
     "GridStructure",
     "horizontal_cov_deriv",
     "fiber_partials",
@@ -104,23 +102,6 @@ def fiber_partials(w: np.ndarray, d: int, thetas: np.ndarray) -> np.ndarray:
     out[..., 0] = d * c * w - s * wt
     out[..., 1] = d * s * w + c * wt
     return out
-
-
-@dataclass
-class TensorField:
-    """Grid-sampled tensor components, contravariant indices first."""
-
-    data: np.ndarray  # (N1, N2, Ntheta, [n]*rank)
-    valence: tuple[int, int]
-    homogeneity: int = 0
-
-    @property
-    def rank(self) -> int:
-        return self.valence[0] + self.valence[1]
-
-    def __post_init__(self):
-        if self.data.ndim != 3 + self.rank:
-            raise ValueError("data rank does not match declared valence")
 
 
 class GridStructure(algebra.ConnectionStack):
@@ -515,29 +496,33 @@ class GridStructure(algebra.ConnectionStack):
         """(nabla_0 C^j) with C^j = g^{jk} C_k, at y = e(theta)."""
         def build():
             Cup = algebra.contract("...jk,...k->...j", self.ginv, self.mean_cartan)
-            return cov_deriv_0(TensorField(Cup, (1, 0), homogeneity=-1), self).data
+            return cov_deriv_0(Cup, self, (1, 0), homogeneity=-1)
         return self._get("nabla0_mean_cartan", build)
 
     @property
     def nabla0_cartan(self) -> np.ndarray:
         """nabla_0 C_kij at y = e(theta)."""
         return self._get("nabla0_cartan", lambda: cov_deriv_0(
-            TensorField(self.cartan, (0, 3), homogeneity=-1), self).data)
+            self.cartan, self, (0, 3), homogeneity=-1))
 
 
-def horizontal_cov_deriv(field: TensorField, gs: GridStructure) -> TensorField:
+def horizontal_cov_deriv(
+    T: np.ndarray, gs: GridStructure, valence: tuple[int, int], homogeneity: int = 0
+) -> np.ndarray:
     """Horizontal Cartan covariant derivative; appends one covariant slot.
 
-    nabla_m T = delta_m T + Gamma-corrections, with
+    ``T`` holds the components (N1, N2, Ntheta, [n] * rank) of a tensor of
+    ``valence`` (p, q), contravariant indices first, that is ``homogeneity``-
+    homogeneous in y.  nabla_m T = delta_m T + Gamma-corrections, with
     delta_m = d/dx^m - G^r_m d/dy^r acting through the grid engines.
     """
-    p, q = field.valence
+    p, q = valence
     if p > 1 or q > 3:
-        raise ValueError(f"unsupported valence {field.valence}")
-    T = field.data
-    rank = field.rank
-    d = field.homogeneity
-    fT = gs.fiber(T, d)  # (..., idx..., r)
+        raise ValueError(f"unsupported valence {valence}")
+    rank = p + q
+    if T.ndim != 3 + rank:
+        raise ValueError("data rank does not match declared valence")
+    fT = gs.fiber(T, homogeneity)  # (..., idx..., r)
     idx = "ijkl"[:rank]
     out = gs.base(T) - algebra.contract(f"...{idx}r,...rm->...{idx}m", fT, gs.Gj)
     Gam = gs.Gamma
@@ -549,12 +534,13 @@ def horizontal_cov_deriv(field: TensorField, gs: GridStructure) -> TensorField:
     for s in range(p, rank):
         pre, post = idx[:s], idx[s + 1:]
         out -= algebra.contract(f"...{pre}r{post},...r{idx[s]}m->...{idx}m", T, Gam)
-    return TensorField(out, (p, q + 1), homogeneity=d)
+    return out
 
 
-def cov_deriv_0(field: TensorField, gs: GridStructure) -> TensorField:
-    """nabla_0 T = y^m nabla_m T evaluated at y = e(theta)."""
-    nab = horizontal_cov_deriv(field, gs)
-    idx = "ijklm"[: field.rank]
-    data = algebra.contract(f"...{idx}t,...t->...{idx}", nab.data, gs.y)
-    return TensorField(data, field.valence, homogeneity=field.homogeneity + 1)
+def cov_deriv_0(
+    T: np.ndarray, gs: GridStructure, valence: tuple[int, int], homogeneity: int = 0
+) -> np.ndarray:
+    """nabla_0 T = y^m nabla_m T evaluated at y = e(theta); ``homogeneity`` + 1."""
+    nab = horizontal_cov_deriv(T, gs, valence, homogeneity)
+    idx = "ijklm"[: sum(valence)]
+    return algebra.contract(f"...{idx}t,...t->...{idx}", nab, gs.y)

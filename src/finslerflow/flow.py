@@ -55,6 +55,10 @@ STEPPERS = ("euler", "rk4")
 CHECKPOINT_FORMAT = "finslerflow-checkpoint"
 CHECKPOINT_VERSION = 2
 
+# The settings of a run, in FlowState field order: the one list that
+# encode_state, write_checkpoint and read_checkpoint read.
+_CONFIG = ("mode", "stepper", "base_mode", "safety", "fiber_cut", "name")
+
 
 class FlowError(RuntimeError):
     pass
@@ -62,7 +66,11 @@ class FlowError(RuntimeError):
 
 @dataclass
 class FlowState:
-    """Discretized log F on the grid plus time and configuration."""
+    """Discretized log F on the grid plus time and configuration.
+
+    The run settings are the fields named in ``_CONFIG``; a mistyped one
+    raises ``TypeError`` and an unknown or out-of-range one ``ValueError``.
+    """
 
     bgrid: BaseGrid
     fgrid: FiberGrid
@@ -77,6 +85,15 @@ class FlowState:
     name: str = "state"
 
     def __post_init__(self):
+        # bool is an int; a JSON checkpoint holds only int, float and str
+        if isinstance(self.safety, bool) or not isinstance(self.safety, (int, float)):
+            raise TypeError(f"safety must be a number, got {self.safety!r}")
+        if self.fiber_cut is not None and (
+            isinstance(self.fiber_cut, bool) or not isinstance(self.fiber_cut, int)
+        ):
+            raise TypeError(f"fiber_cut must be an integer or None, got {self.fiber_cut!r}")
+        if not isinstance(self.name, str):
+            raise TypeError(f"name must be a string, got {self.name!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.stepper not in STEPPERS:
@@ -132,16 +149,17 @@ def _fiber_project(logF: np.ndarray, cut: int | None) -> np.ndarray:
 
 
 def encode_state(
-    entry: FinslerStructure,
-    bgrid: BaseGrid,
-    fgrid: FiberGrid,
-    mode: str = "unnormalized",
-    stepper: str = "euler",
-    base_mode: str = "fd4",
-    safety: float = 0.25,
-    fiber_cut: int | None = None,
+    entry: FinslerStructure, bgrid: BaseGrid, fgrid: FiberGrid, **config
 ) -> FlowState:
-    """Sample log F on the section y = e(theta) of an analytic structure."""
+    """Sample log F on the section y = e(theta) of an analytic structure.
+
+    ``config`` holds the run settings of :class:`FlowState` (``mode``,
+    ``stepper``, ``base_mode``, ``safety``, ``fiber_cut``) and is checked
+    there; the state is named after ``entry``.
+    """
+    unknown = set(config).difference(_CONFIG)
+    if unknown:
+        raise TypeError(f"encode_state got unknown settings {sorted(unknown)}")
     if not entry.chart.periodic:
         raise GridError(
             f"{entry.name}: non-periodic chart; grid flow needs a torus "
@@ -152,10 +170,7 @@ def encode_state(
     e = np.stack([np.cos(th), np.sin(th)], axis=-1)[None, None, :, :]
     F = entry.F(nodes, e)
     logF = np.log(np.broadcast_to(F, bgrid.shape + (fgrid.n_theta,)).copy())
-    return FlowState(
-        bgrid=bgrid, fgrid=fgrid, logF=logF, mode=mode, stepper=stepper,
-        base_mode=base_mode, safety=safety, fiber_cut=fiber_cut, name=entry.name,
-    )
+    return FlowState(bgrid=bgrid, fgrid=fgrid, logF=logF, name=entry.name, **config)
 
 
 def curvature_field(state: FlowState) -> np.ndarray:
@@ -330,14 +345,13 @@ def run_flow(
     state: FlowState,
     steps: int,
     dt: float | None = None,
-    sink: Callable[[FlowDiagnostics], None] | None = None,
     gem_stride: int = 8,
     checkpoint_every: int | None = None,
     checkpoint_dir: str | None = None,
 ) -> Trajectory:
-    """Apply ``step`` repeatedly, emitting diagnostics per step.
+    """Apply ``step`` repeatedly, with a diagnostics row per state.
 
-    Emits steps + 1 diagnostic rows (including the initial state).  ``dt``
+    Keeps steps + 1 rows (including the initial state).  ``dt``
     fixed if given, else from :func:`dt_policy` each step.  A failure ends
     the run and is recorded, as step 0 if the initial state fails its
     diagnostics.  Deterministic for identical configuration.
@@ -345,20 +359,14 @@ def run_flow(
     if steps < 1:
         raise ValueError("need at least one step")
     rows = []
-
-    def emit(d: FlowDiagnostics):
-        rows.append(d)
-        if sink is not None:
-            sink(d)
-
     failure = detail = None
     k = 0
     try:
-        emit(diagnostics(state, gem_stride))
+        rows.append(diagnostics(state, gem_stride))
         for k in range(1, steps + 1):
             dtk = dt if dt is not None else dt_policy(state)
             state = step(state, dtk)
-            emit(diagnostics(state, gem_stride))
+            rows.append(diagnostics(state, gem_stride))
             if checkpoint_every and checkpoint_dir and k % checkpoint_every == 0:
                 write_checkpoint(
                     os.path.join(checkpoint_dir, f"checkpoint_{state.step_index:06d}.json"),
@@ -445,12 +453,7 @@ def write_checkpoint(path: str, state: FlowState) -> None:
         },
         "time": state.t,
         "step": state.step_index,
-        "mode": state.mode,
-        "stepper": state.stepper,
-        "base_mode": state.base_mode,
-        "safety": state.safety,
-        "fiber_cut": state.fiber_cut,
-        "name": state.name,
+        **{key: getattr(state, key) for key in _CONFIG},
     }
     head = json.dumps(header)[:-1] + ', "logF": "'  # ASCII: non-ASCII is escaped
     tmp = path + ".tmp"
@@ -477,7 +480,14 @@ def _decode_logF(path: str, record: dict) -> np.ndarray:
 
 
 def read_checkpoint(path: str) -> FlowState:
-    """Read a version 1 or 2 checkpoint; a damaged logF raises ``FlowError``."""
+    """Read a version 1 or 2 checkpoint.
+
+    ``mode``, ``stepper`` and ``base_mode`` are required; ``safety``,
+    ``fiber_cut`` and ``name`` keep the defaults of :class:`FlowState`
+    when absent.  ``FlowState`` checks the settings: an unknown value
+    raises its ``ValueError``, and a mistyped one a ``FlowError`` naming the
+    file, as does a damaged logF.
+    """
     with open(path) as fh:
         record = json.load(fh)
     if record.get("format") != CHECKPOINT_FORMAT:
@@ -496,15 +506,10 @@ def read_checkpoint(path: str) -> FlowState:
         )
     if not np.isfinite(logF).all():
         raise FlowError(f"{path}: logF holds non-finite values")
-    logF = logF.reshape(shape)
-    fiber_cut, safety = record.get("fiber_cut"), record.get("safety", 0.25)
-    if fiber_cut is not None and (isinstance(fiber_cut, bool) or not isinstance(fiber_cut, int)):
-        raise FlowError(f"{path}: fiber_cut must be an integer or null, got {fiber_cut!r}")
-    if isinstance(safety, bool) or not isinstance(safety, (int, float)):
-        raise FlowError(f"{path}: safety must be a number, got {safety!r}")
-    return FlowState(
-        bgrid=bgrid, fgrid=fgrid, logF=logF, t=record["time"],
-        step_index=record["step"], mode=record["mode"], stepper=record["stepper"],
-        base_mode=record["base_mode"], safety=safety, fiber_cut=fiber_cut,
-        name=record.get("name", "state"),
-    )
+    required = ("mode", "stepper", "base_mode")
+    config = {key: record[key] for key in _CONFIG if key in record or key in required}
+    try:
+        return FlowState(bgrid=bgrid, fgrid=fgrid, logF=logF.reshape(shape),
+                         t=record["time"], step_index=record["step"], **config)
+    except TypeError as exc:
+        raise FlowError(f"{path}: {exc}") from exc

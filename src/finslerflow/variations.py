@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import contract
-from .fields import GridStructure, TensorField, horizontal_cov_deriv, fiber_partials
+from .fields import GridStructure, horizontal_cov_deriv
 from .measure import global_inner, pair_inner
 from .structures import FinslerStructure
 
@@ -76,8 +76,7 @@ def lie_derivative_metric(X, gs: GridStructure) -> np.ndarray:
     sampled array); X^ is its complete lift.
     """
     Xv = _vector_field(X, gs)
-    Xf = TensorField(Xv, (1, 0), homogeneity=0)
-    nabX = horizontal_cov_deriv(Xf, gs).data  # (..., k, i) = nabla_i X^k
+    nabX = horizontal_cov_deriv(Xv, gs, (1, 0))  # (..., k, i) = nabla_i X^k
     low = contract("...jk,...ki->...ij", gs.g, nabX)  # nabla_i X_j
     nab0X = contract("...ki,...i->...k", nabX, gs.y)  # nabla_0 X^k at y = e
     return low + np.swapaxes(low, -1, -2) + 2.0 * contract("...k,...kij->...ij", nab0X, gs.cartan)
@@ -91,7 +90,7 @@ def divergence_delta(h: np.ndarray, gs: GridStructure) -> np.ndarray:
     """
     gi = gs.ginv
     # nabla^i h_ik
-    nabh = horizontal_cov_deriv(TensorField(h, (0, 2), 0), gs).data  # (...,i,k,m)
+    nabh = horizontal_cov_deriv(h, gs, (0, 2))  # (...,i,k,m)
     div = contract("...im,...ikm->...k", gi, nabh)
     # h_kj nabla_0 C^j
     t2 = contract("...kj,...j->...k", h, gs.nabla0_mean_cartan)
@@ -105,23 +104,24 @@ def divergence_delta(h: np.ndarray, gs: GridStructure) -> np.ndarray:
     return -(div - t2 + t3 + t4)
 
 
-def codifferential(form: TensorField, gs: GridStructure, kind: str) -> np.ndarray:
-    """Codifferential of a 1-form on SM.
+def codifferential(
+    a: np.ndarray, gs: GridStructure, kind: str, homogeneity: int = 0
+) -> np.ndarray:
+    """Codifferential of a ``homogeneity``-homogeneous 1-form a_i on SM.
 
     horizontal: delta a = -(nabla^j a_j - a_j nabla_0 C^j)
     vertical:   delta b = -F g^{ij} db_i/dy^j
     """
-    if form.valence != (0, 1):
+    if a.ndim != 4:
         raise ValueError("codifferential expects a 1-form field")
-    a = form.data
     gi = gs.ginv
     if kind == "horizontal":
-        nab = horizontal_cov_deriv(form, gs).data  # (..., j, m)
+        nab = horizontal_cov_deriv(a, gs, (0, 1), homogeneity)  # (..., j, m)
         div = contract("...jm,...jm->...", gi, nab)
         corr = contract("...j,...j->...", a, gs.nabla0_mean_cartan)
         return -(div - corr)
     if kind == "vertical":
-        da = fiber_partials(a, form.homogeneity, gs.thetas)  # (..., i, j)
+        da = gs.fiber(a, homogeneity)  # (..., i, j)
         return -gs.F * contract("...ij,...ij->...", gi, da)
     raise ValueError(f"unknown codifferential kind {kind!r}")
 
@@ -274,7 +274,7 @@ def variation_residuals(
     # (c) nonlinear-connection variation (spray variation by FD on the right)
     dGj = (gp.Gj - gm.Gj) / (2.0 * t_step)
     dG = (gp.G - gm.G) / (2.0 * t_step)
-    nab_h = horizontal_cov_deriv(TensorField(h, (0, 2), 0), gs0).data  # (...,i,j,m)
+    nab_h = horizontal_cov_deriv(h, gs0, (0, 2))  # (...,i,j,m)
     # nabla_k h^i_o = g^{im} (nabla_k h_mj) y^j etc., using metric compatibility
     nab_h_up0 = contract("...im,...mjk,...j->...ik", gi, nab_h, e)  # nabla_k h^i_o
     nab_0h_up = contract("...im,...mkj,...j->...ik", gi, nab_h, e)  # nabla_o h^i_k

@@ -8,7 +8,7 @@ import pytest
 import finslerflow as ff
 from finslerflow import algebra, measure, variations
 from finslerflow.connections import PointAssembly
-from finslerflow.fields import GridStructure, TensorField, cov_deriv_0, horizontal_cov_deriv
+from finslerflow.fields import GridStructure, cov_deriv_0, horizontal_cov_deriv
 from finslerflow.jets import cos_, sin_
 from finslerflow.structures import sample_points
 
@@ -33,15 +33,15 @@ def _heavy_route(gs, randers):
         variations.conformal_family(randers, lambda xs: 0.3 + 0.0 * xs[0]), gs
     )
     variations.trace_split(h, gs)
-    a = TensorField(gs.ginv[..., 0, :] * gs.F[..., None], (0, 1), -1)
+    a = gs.ginv[..., 0, :] * gs.F[..., None]
     for kind in ("horizontal", "vertical"):
-        variations.codifferential(a, gs, kind)
+        variations.codifferential(a, gs, kind, -1)
     measure.functional_report(gs, c_fun=0.5)
     gs.ricci  # hh and Ricci, which the curvature scalars no longer read
     rng = np.random.default_rng(3)
     for valence in VALENCES:
-        T = TensorField(rng.standard_normal(gs.F2.shape + (2,) * sum(valence)), valence, 0)
-        cov_deriv_0(T, gs)
+        T = rng.standard_normal(gs.F2.shape + (2,) * sum(valence))
+        cov_deriv_0(T, gs, valence)
 
 
 @pytest.fixture(scope="module")
@@ -156,9 +156,8 @@ def test_heavy_grid_route_avoids_einsum(monkeypatch, randers):
     assert variations.adjointness_residual(_X, h, gs) <= 1e-3
     rep = variations.variation_residuals(variations.randers_family(randers.structure, _drift), gs)
     assert rep.worst() <= 1e-2
-    a = TensorField(gs.ginv[..., 0, :] * gs.F[..., None], (0, 1), -1)
+    a = gs.ginv[..., 0, :] * gs.F[..., None]
     for kind in ("horizontal", "vertical"):
-        assert np.all(np.isfinite(variations.codifferential(a, gs, kind)))
+        assert np.all(np.isfinite(variations.codifferential(a, gs, kind, -1)))
     assert measure.global_inner(gs.g, gs.g, gs) == pytest.approx(2.0 * gs.volume, rel=1e-12)
-    g = TensorField(gs.g, (0, 2), 0)
-    assert np.all(np.isfinite(horizontal_cov_deriv(g, gs).data))
+    assert np.all(np.isfinite(horizontal_cov_deriv(gs.g, gs, (0, 2))))

@@ -180,6 +180,26 @@ def test_config_unknown_key(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("report", "--metric", "funk-disk", "--x", "0.2,0.1", "--theta", "0.7"),
+    ("validate", "--metric", "euclidean"),
+])
+def test_base_mode_only_on_grid_commands(capsys, argv):
+    # report and validate accepted --base-mode and ignored it
+    code, out, err = run_cli(capsys, *argv, "--base-mode", "spectral")
+    assert code == 2 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["code"] == 2
+
+
+def test_config_base_mode_accepted_by_report(capsys, tmp_path):
+    # config keys are checked against the flags of every subcommand
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metric": "funk-disk", "base_mode": "spectral"}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "report", "--x", "0.2,0.1",
+                           "--theta", "0.7")
+    assert code == 0 and json.loads(out)["metric"] == "funk-disk"
+
+
 def test_verify_identities_small(capsys, tmp_path):
     out_dir = str(tmp_path / "ids")
     code, out, _ = run_cli(

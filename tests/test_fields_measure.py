@@ -10,7 +10,6 @@ import finslerflow as ff
 from finslerflow import algebra, fields, workers
 from finslerflow.fields import (
     GridStructure,
-    TensorField,
     cov_deriv_0,
     horizontal_cov_deriv,
     theta_derivative,
@@ -199,27 +198,26 @@ def test_cov_deriv_valence_1_3(gs_randers, randers):
         randers.structure, lambda xs: (0.05 * cos_(xs[1]), 0.05 * sin_(xs[0]))
     )
     h = family_variation(fam, gs_randers)
-    nab_h = horizontal_cov_deriv(TensorField(h, (0, 2), 0), gs_randers).data
+    nab_h = horizontal_cov_deriv(h, gs_randers, (0, 2))
     assert np.max(np.abs(nab_h)) > 1e-2
     eye = np.eye(2)
-    T = TensorField(np.einsum("ij,...kl->...ijkl", eye, h), (1, 3), 0)
-    got = horizontal_cov_deriv(T, gs_randers)
-    assert got.valence == (1, 4)
+    T = np.einsum("ij,...kl->...ijkl", eye, h)
+    got = horizontal_cov_deriv(T, gs_randers, (1, 3))
+    assert got.shape == gs_randers.F2.shape + (2,) * 5
     want = np.einsum("ij,...klm->...ijklm", eye, nab_h)
-    assert np.max(np.abs(got.data - want)) <= 1e-12
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def _horizontal_cov_deriv_einsum(field, gs):
+def _horizontal_cov_deriv_einsum(T, gs, valence, homogeneity):
     """Reference: the ``np.einsum`` form of ``horizontal_cov_deriv``."""
-    p, q = field.valence
-    T = field.data
-    idx = "ijkl"[: field.rank]
-    fT = gs.fiber(T, field.homogeneity)
+    p, q = valence
+    idx = "ijkl"[: p + q]
+    fT = gs.fiber(T, homogeneity)
     out = gs.base(T) - np.einsum(f"abc{idx}r,abcrm->abc{idx}m", fT, gs.Gj)
     for s in range(p):
         pre, post = idx[:s], idx[s + 1:]
         out = out + np.einsum(f"abc{pre}r{post},abc{idx[s]}rm->abc{idx}m", T, gs.Gamma)
-    for s in range(p, field.rank):
+    for s in range(p, p + q):
         pre, post = idx[:s], idx[s + 1:]
         out = out - np.einsum(f"abc{pre}r{post},abcr{idx[s]}m->abc{idx}m", T, gs.Gamma)
     return out
@@ -231,12 +229,12 @@ def test_cov_derivs_match_einsum_reference(randers, valence):
     bg, fg = ff.build_grid(2, 24, TWO_PI, 32)
     gs = GridStructure(randers.structure, bg, fg)
     rng = np.random.default_rng(sum(valence) + 10 * valence[0])
-    T = TensorField(rng.standard_normal(gs.F2.shape + (2,) * sum(valence)), valence, -1)
-    want = _horizontal_cov_deriv_einsum(T, gs)
-    assert np.array_equal(horizontal_cov_deriv(T, gs).data, want)
-    idx = "ijkl"[: T.rank]
+    T = rng.standard_normal(gs.F2.shape + (2,) * sum(valence))
+    want = _horizontal_cov_deriv_einsum(T, gs, valence, -1)
+    assert np.array_equal(horizontal_cov_deriv(T, gs, valence, -1), want)
+    idx = "ijkl"[: sum(valence)]
     want0 = np.einsum(f"abc{idx}t,abct->abc{idx}", want, gs.y)
-    assert np.array_equal(cov_deriv_0(T, gs).data, want0)
+    assert np.array_equal(cov_deriv_0(T, gs, valence, -1), want0)
 
 
 def test_tilde_light_matches_full(gs_randers, gs_conformal):

@@ -1,6 +1,7 @@
 """Flow engine: encoding, stepping, diagnostics, checkpoints."""
 
 import base64
+import dataclasses
 import json
 import sys
 import warnings
@@ -444,10 +445,11 @@ def test_checkpoint_unknown_configuration_rejected(tmp_path, conformal, key, val
 
 
 @pytest.mark.parametrize(
-    "key, value", [("fiber_cut", "2"), ("fiber_cut", True), ("safety", None), ("safety", "0.25")]
+    "key, value",
+    [("fiber_cut", "2"), ("fiber_cut", True), ("safety", None), ("safety", "0.25"), ("name", 5)],
 )
 def test_checkpoint_mistyped_configuration_rejected(tmp_path, conformal, key, value):
-    """A mistyped fiber_cut or safety raises FlowError naming the field, not a bare TypeError."""
+    """A mistyped setting raises FlowError naming the field, not a bare TypeError."""
     p = tmp_path / "chk.json"
     write_checkpoint(str(p), make_state(conformal, N=16, NT=32, fiber_cut=2))
     rec = json.loads(p.read_text())
@@ -455,6 +457,51 @@ def test_checkpoint_mistyped_configuration_rejected(tmp_path, conformal, key, va
     p.write_text(json.dumps(rec))
     with pytest.raises(FlowError, match=key):
         read_checkpoint(str(p))
+
+
+@pytest.mark.parametrize(
+    "key, value", [("safety", True), ("safety", "0.25"), ("fiber_cut", 2.5), ("name", None)]
+)
+def test_flow_state_rejects_mistyped_setting(conformal, key, value):
+    """A mistyped setting raises TypeError when the state is built; a float
+    fiber_cut used to pass and fail at the first step, outside run_flow's record."""
+    bg, fg = ff.build_grid(2, 8, TWO_PI, 16)
+    with pytest.raises(TypeError, match=key):
+        FlowState(bg, fg, np.zeros(bg.shape + (fg.n_theta,)), **{key: value})
+    if key != "name":
+        with pytest.raises(TypeError, match=key):
+            encode_state(conformal.structure, bg, fg, **{key: value})
+
+
+def test_encode_state_takes_only_run_settings(conformal):
+    bg, fg = ff.build_grid(2, 8, TWO_PI, 16)
+    with pytest.raises(TypeError, match="unknown settings"):
+        encode_state(conformal.structure, bg, fg, t=1.0)
+    with pytest.raises(TypeError):
+        encode_state(conformal.structure, bg, fg, name="other")  # the entry names it
+
+
+def test_checkpoint_stores_every_setting(tmp_path, conformal):
+    """Every run setting at a value other than its default reads back, and the
+    header lists exactly the settings, in FlowState order, after ``step``."""
+    from finslerflow.flow import _CONFIG
+
+    state_fields = [f.name for f in dataclasses.fields(FlowState)]
+    assert state_fields == ["bgrid", "fgrid", "logF", "t", "step_index", *_CONFIG]
+    settings = {"mode": "normalized", "stepper": "rk4", "base_mode": "spectral",
+                "safety": 0.1, "fiber_cut": 3, "name": 'torus "é"'}
+    assert tuple(settings) == _CONFIG
+    bg, fg = ff.build_grid(2, 16, TWO_PI, 32)
+    defaults = FlowState(bg, fg, np.zeros(bg.shape + (fg.n_theta,)))
+    assert all(getattr(defaults, key) != value for key, value in settings.items())
+    st = replace(make_state(conformal, N=16, NT=32), **settings)
+    p = tmp_path / "chk.json"
+    write_checkpoint(str(p), st)
+    keys = list(json.loads(p.read_text()))
+    assert tuple(keys[keys.index("step") + 1:keys.index("logF")]) == _CONFIG
+    back = read_checkpoint(str(p))
+    assert {key: getattr(back, key) for key in _CONFIG} == settings
+    assert back.logF.tobytes() == st.logF.tobytes()
 
 
 def _whole_array_step(state, dt):

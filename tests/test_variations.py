@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import finslerflow as ff
-from finslerflow.fields import GridStructure, TensorField
+from finslerflow.fields import GridStructure
 from finslerflow.jets import cos_, sin_
 from finslerflow.measure import global_inner
 from finslerflow.oracles import (
@@ -174,7 +174,7 @@ def test_codifferential_horizontal_riemannian(gs_conf, conformal):
 
     x = gs_conf.x_nodes
     av = np.broadcast_to(a(x)[:, :, None, :], gs_conf.g.shape[:-1]).copy()
-    got = codifferential(TensorField(av, (0, 1), 0), gs_conf, "horizontal")
+    got = codifferential(av, gs_conf, "horizontal")
     # oracle: -nabla^j a_j with closed-form Christoffels
     gam = riemannian_christoffel(conformal, x)
     da = np.zeros(x.shape[:-1] + (2, 2))  # da[..., j, m] = d a_j / dx^m
@@ -188,10 +188,10 @@ def test_codifferential_horizontal_riemannian(gs_conf, conformal):
 
 def test_codifferential_vertical(gs_flat):
     # b_i = dF/dy^i for Euclidean F: delta b = -F g^{ij} d b_i / dy^j = -1
-    b = TensorField(gs_flat.p.copy(), (0, 1), 0)
+    b = gs_flat.p.copy()
     got = codifferential(b, gs_flat, "vertical")
     np.testing.assert_allclose(got, -1.0, atol=1e-11)
-    z = TensorField(np.zeros_like(gs_flat.p), (0, 1), 0)
+    z = np.zeros_like(gs_flat.p)
     np.testing.assert_allclose(codifferential(z, gs_flat, "vertical"), 0.0, atol=1e-15)
     with pytest.raises(ValueError):
         codifferential(b, gs_flat, "sideways")
@@ -203,7 +203,7 @@ def test_codifferential_vertical_refined(randers):
     for nt in (48, 96):
         bg, fg = ff.build_grid(2, 16, TWO_PI, nt)
         gs = GridStructure(randers.structure, bg, fg, base_mode="spectral")
-        b = TensorField(gs.p.copy(), (0, 1), 0)
+        b = gs.p.copy()
         vals.append(codifferential(b, gs, "vertical")[:, :, ::nt // 48])
     assert np.max(np.abs(vals[1][:, :, : vals[0].shape[2]] - vals[0])) <= 1e-6
 
