@@ -77,7 +77,7 @@ def _metric(args) -> object:
         raise UsageError(str(exc))
 
 
-def _write_manifest(out_dir: str, args, extra=None) -> None:
+def _write_manifest(out_dir: str, args) -> None:
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "command": args.command,
@@ -290,7 +290,8 @@ def cmd_flow(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``finsler`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="finsler",
         description="Numerical Finsler geometry: curvature, functionals, flows.",
@@ -350,23 +351,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gem-stride", type=int, default=8)
     p.add_argument("--checkpoint-every", type=int, default=None)
     p.set_defaults(func=cmd_flow)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, subcommands = build_parser()
     try:
         defaults = _load_config_defaults(argv)
         if defaults:
-            known = {a.dest for a in parser._actions}
-            for p in parser._subparsers._group_actions[0].choices.values():
-                known |= {a.dest for a in p._actions}
-            bad = set(defaults) - known
+            # a key applies to the subcommands that declare it
+            declared = {p: {a.dest for a in p._actions} for p in subcommands.values()}
+            bad = set(defaults).difference(*declared.values())
             if bad:
                 raise UsageError(f"unknown config keys: {sorted(bad)}")
-            for p in parser._subparsers._group_actions[0].choices.values():
-                p.set_defaults(**defaults)
+            for p, dests in declared.items():
+                p.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -64,6 +64,7 @@ import numpy as np
 from . import algebra, workers
 from .grids import (
     BaseGrid, FiberGrid, GridError, _fd4_padded, _spectral, _wrap_rows, base_derivative,
+    check_base_mode,
 )
 from .structures import FinslerStructure
 
@@ -75,12 +76,12 @@ __all__ = [
 ]
 
 
-def theta_derivative(w: np.ndarray, order=1, axis: int = 2):
-    """Spectral derivative along the fiber angle axis (period 2*pi).
+def theta_derivative(w: np.ndarray, order=1):
+    """Spectral derivative along the fiber angle axis 2 (period 2*pi).
 
     A tuple of orders gives one array per order from a single rfft.
     """
-    return _spectral(w, axis, 2.0 * np.pi, order)
+    return _spectral(w, 2, 2.0 * np.pi, order)
 
 
 def _dtheta(w: np.ndarray, order=1):
@@ -118,6 +119,7 @@ class GridStructure(algebra.ConnectionStack):
         fgrid: FiberGrid,
         base_mode: str = "fd4",
     ):
+        check_base_mode(base_mode)
         self.bgrid = bgrid
         self.fgrid = fgrid
         self.base_mode = base_mode
@@ -136,13 +138,11 @@ class GridStructure(algebra.ConnectionStack):
         if isinstance(source, FinslerStructure):
             if not source.chart.periodic:
                 raise GridError(f"{source.name}: non-periodic chart cannot be grid-sampled")
-            self.structure = source
             F2 = source.F2(self.x, self.y)
             self.F2 = np.broadcast_to(F2, want).copy()
             self.logF = 0.5 * np.log(self.F2)
             lo, hi = np.min(self.F2), np.max(self.F2)
         else:
-            self.structure = None
             logF = np.asarray(source, dtype=float)
             if logF.shape != want:
                 raise GridError(f"logF shape {logF.shape} != {want}")

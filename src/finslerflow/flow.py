@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import GridStructure
-from .grids import BASE_MODES, BaseGrid, FiberGrid, GridError
+from .grids import BaseGrid, FiberGrid, GridError, check_base_mode
 from .structures import FinslerStructure, SingularMetricError
 
 __all__ = [
@@ -98,8 +98,7 @@ class FlowState:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.stepper not in STEPPERS:
             raise ValueError(f"stepper must be one of {STEPPERS}, got {self.stepper!r}")
-        if self.base_mode not in BASE_MODES:
-            raise ValueError(f"base_mode must be one of {BASE_MODES}, got {self.base_mode!r}")
+        check_base_mode(self.base_mode)
         if not self.safety > 0:
             raise ValueError(f"safety factor must be positive, got {self.safety}")
         if self.fiber_cut is not None and self.fiber_cut < 0:
@@ -354,10 +353,15 @@ def run_flow(
     Keeps steps + 1 rows (including the initial state).  ``dt``
     fixed if given, else from :func:`dt_policy` each step.  A failure ends
     the run and is recorded, as step 0 if the initial state fails its
-    diagnostics.  Deterministic for identical configuration.
+    diagnostics.  Deterministic for identical configuration.  A bad argument
+    raises ``ValueError`` naming it before anything is computed or written.
     """
-    if steps < 1:
-        raise ValueError("need at least one step")
+    for name, value in (("steps", steps), ("gem_stride", gem_stride),
+                        ("checkpoint_every", checkpoint_every)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if dt is not None and not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     rows = []
     failure = detail = None
     k = 0
@@ -482,11 +486,12 @@ def _decode_logF(path: str, record: dict) -> np.ndarray:
 def read_checkpoint(path: str) -> FlowState:
     """Read a version 1 or 2 checkpoint.
 
-    ``mode``, ``stepper`` and ``base_mode`` are required; ``safety``,
-    ``fiber_cut`` and ``name`` keep the defaults of :class:`FlowState`
-    when absent.  ``FlowState`` checks the settings: an unknown value
-    raises its ``ValueError``, and a mistyped one a ``FlowError`` naming the
-    file, as does a damaged logF.
+    ``time``, ``step``, ``grid``, ``mode``, ``stepper`` and ``base_mode`` are
+    required; ``safety``, ``fiber_cut`` and ``name`` keep the defaults of
+    :class:`FlowState` when absent.  A missing key, a grid other than n = 2
+    or one that :class:`BaseGrid` or :class:`FiberGrid` refuses, a mistyped
+    grid or setting and a damaged logF raise a ``FlowError`` naming the file;
+    an unknown setting value raises the ``ValueError`` of ``FlowState``.
     """
     with open(path) as fh:
         record = json.load(fh)
@@ -494,10 +499,19 @@ def read_checkpoint(path: str) -> FlowState:
         raise FlowError(f"not a checkpoint file: {path}")
     if record.get("version") not in (1, CHECKPOINT_VERSION):
         raise FlowError(f"{path}: unsupported checkpoint version {record.get('version')}")
-    g = record["grid"]
-    bgrid = BaseGrid(g["n"], tuple(g["shape"]), tuple(g["lengths"]), (True,) * g["n"])
-    fgrid = FiberGrid(g["n_theta"])
-    shape = tuple(g["shape"]) + (g["n_theta"],)
+    required = ("mode", "stepper", "base_mode")
+    try:
+        g = record["grid"]
+        if g["n"] != BaseGrid.n:
+            raise GridError(f"base dimension must be 2, got {g['n']}")
+        bgrid, fgrid = BaseGrid(tuple(g["shape"]), tuple(g["lengths"])), FiberGrid(g["n_theta"])
+        t, step_index = record["time"], record["step"]
+        config = {key: record[key] for key in _CONFIG if key in record or key in required}
+    except KeyError as exc:
+        raise FlowError(f"{path}: the record has no {exc.args[0]!r}") from exc
+    except (GridError, TypeError) as exc:
+        raise FlowError(f"{path}: grid: {exc}") from exc
+    shape = bgrid.shape + (fgrid.n_theta,)
     logF = _decode_logF(path, record)
     if logF.shape != (math.prod(shape),):
         raise FlowError(
@@ -506,10 +520,8 @@ def read_checkpoint(path: str) -> FlowState:
         )
     if not np.isfinite(logF).all():
         raise FlowError(f"{path}: logF holds non-finite values")
-    required = ("mode", "stepper", "base_mode")
-    config = {key: record[key] for key in _CONFIG if key in record or key in required}
     try:
         return FlowState(bgrid=bgrid, fgrid=fgrid, logF=logF.reshape(shape),
-                         t=record["time"], step_index=record["step"], **config)
+                         t=t, step_index=step_index, **config)
     except TypeError as exc:
         raise FlowError(f"{path}: {exc}") from exc

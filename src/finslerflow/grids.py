@@ -3,25 +3,32 @@
 A base derivative is either 4th-order periodic central differences
 ('fd4') or the derivative of the trigonometric interpolant ('spectral'),
 the two ``BASE_MODES``.  The FD4 stencil runs on a block padded by two
-nodes along its axis: ``_fd4_first``/``_fd4_second`` pad by periodic wrap,
-and the grid's slab engine (:mod:`finslerflow.fields`) pads an x1-slab with
-its periodic halo rows, so both give the same bits.
+nodes along its axis: ``base_derivative`` pads by periodic wrap, and the
+grid's slab engine (:mod:`finslerflow.fields`) pads an x1-slab with its
+periodic halo rows, so both give the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar
 
 import numpy as np
 
-__all__ = ["BaseGrid", "FiberGrid", "build_grid", "base_derivative", "GridError", "BASE_MODES"]
+__all__ = ["BaseGrid", "FiberGrid", "build_grid", "base_derivative", "check_base_mode",
+           "GridError", "BASE_MODES"]
 
 BASE_MODES = ("fd4", "spectral")
 
 
 class GridError(ValueError):
     pass
+
+
+def check_base_mode(mode) -> None:
+    """Raise ``GridError`` unless ``mode`` is one of ``BASE_MODES``."""
+    if mode not in BASE_MODES:
+        raise GridError(f"base_mode must be one of {BASE_MODES}, got {mode!r}")
 
 
 def _as_tuple(v, n, cast):
@@ -35,21 +42,19 @@ def _as_tuple(v, n, cast):
 
 @dataclass(frozen=True)
 class BaseGrid:
-    """Uniform grid on a 2-dimensional chart, periodic per axis."""
+    """Uniform grid on the periodic 2-torus [0, L1) x [0, L2), and the one check
+    of a base grid: two axes, at least 8 nodes and a positive length per axis."""
 
-    n: int
+    n: ClassVar[int] = 2
     shape: tuple[int, ...]
     lengths: tuple[float, ...]
-    periodic: tuple[bool, ...]
 
     def __post_init__(self):
-        if self.n != 2:
-            raise GridError(f"base dimension must be 2, got {self.n}")
-        if len(self.shape) != self.n:
-            raise GridError("shape/dimension mismatch")
+        if len(self.shape) != self.n or len(self.lengths) != self.n:
+            raise GridError(f"a base grid has 2 axes, got shape {self.shape}, lengths {self.lengths}")
         for N in self.shape:
-            if N < 1:
-                raise GridError(f"non-positive node count {N}")
+            if N < 8:
+                raise GridError(f"need at least 8 base nodes per axis, got {N}")
         for L in self.lengths:
             if L <= 0:
                 raise GridError(f"non-positive axis length {L}")
@@ -90,18 +95,13 @@ class FiberGrid:
 
 
 def build_grid(n: int, N_x, L, N_theta: int) -> tuple[BaseGrid, FiberGrid]:
-    """Build a periodic base grid and a fiber grid.
+    """Build a base grid on the periodic 2-torus (``n`` must be 2) and a fiber grid.
 
-    N_x and L may be scalars (same for all axes) or per-axis sequences.
+    N_x and L may be scalars (same for both axes) or per-axis sequences.
     """
-    if n != 2:
+    if n != BaseGrid.n:
         raise GridError(f"dimension must be 2, got {n}")
-    shape = _as_tuple(N_x, n, int)
-    for N in shape:
-        if N < 8:
-            raise GridError(f"need at least 8 base nodes per axis, got {N}")
-    lengths = _as_tuple(L, n, float)
-    bg = BaseGrid(n, shape, lengths, (True,) * n)
+    bg = BaseGrid(_as_tuple(N_x, n, int), _as_tuple(L, n, float))
     fg = FiberGrid(int(N_theta))
     return bg, fg
 
@@ -140,14 +140,6 @@ def _fd4_padded(p: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
     return out
 
 
-def _fd4_first(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return _fd4_padded(_wrap_rows(f, axis, -2, f.shape[axis] + 2), axis, h, 1)
-
-
-def _fd4_second(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return _fd4_padded(_wrap_rows(f, axis, -2, f.shape[axis] + 2), axis, h, 2)
-
-
 def _spectral(f: np.ndarray, axis: int, L: float, order):
     """Derivative of the trigonometric interpolant along ``axis`` (period L).
 
@@ -182,18 +174,15 @@ def base_derivative(
     ``mode`` is 'fd4' (4th-order periodic central differences, the default)
     or 'spectral' (trigonometric interpolation).
     """
-    if mode not in BASE_MODES:
-        raise GridError(f"unknown base derivative mode {mode!r}")
+    check_base_mode(mode)
     if order not in (1, 2):
         raise GridError(f"base derivative order must be 1 or 2, got {order}")
     if axis < 0 or axis >= grid.n:
         raise GridError(f"axis {axis} out of range for dimension {grid.n}")
-    if not grid.periodic[axis]:
-        raise GridError(f"axis {axis} is not periodic")
     if field.shape[axis] != grid.shape[axis]:
         raise GridError("field shape does not match grid")
     h = grid.spacing[axis]
     if mode == "fd4":
-        return _fd4_first(field, axis, h) if order == 1 else _fd4_second(field, axis, h)
+        return _fd4_padded(_wrap_rows(field, axis, -2, field.shape[axis] + 2), axis, h, order)
     return _spectral(field, axis, grid.lengths[axis], order)
 

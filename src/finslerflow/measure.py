@@ -83,12 +83,10 @@ def functional_report(gs: GridStructure, c_fun=None) -> FunctionalReport:
     if V <= 0:
         raise GridError("indicatrix volume must be positive")
     I = gs.integrate(gs.h_hat(c_fun))
-    n = 2
-    I_norm = V ** ((2 - n) / n) * I
     return FunctionalReport(
         volume=V,
         I=I,
-        I_normalized=I_norm,
+        I_normalized=I,  # n = 2: normalization exponent vanishes
         average=I / V,
         grid_shape=gs.bgrid.shape,
         n_theta=gs.fgrid.n_theta,

@@ -146,12 +146,13 @@ def adjointness_residual(X, h: np.ndarray, gs: GridStructure) -> float:
 
 @dataclass
 class MetricFamily:
-    """One-parameter family t -> FinslerStructure, valid for |t| <= t_max."""
+    """One-parameter family t -> FinslerStructure, valid for |t| <= t_max.
+
+    ``k_fun`` is set for a conformal family F_t = exp(t k) F_0 only."""
 
     make: Callable[[float], FinslerStructure]
     t_max: float = 1e-2
-    kind: str = "family"  # conformal | randers | family
-    k_fun: Callable | None = None  # for conformal families: F_t = exp(t k) F_0
+    k_fun: Callable | None = None
 
     def structure(self, t: float) -> FinslerStructure:
         if abs(t) > self.t_max:
@@ -172,7 +173,7 @@ def conformal_family(fs: FinslerStructure, k_fun: Callable, t_max: float = 0.5) 
             n=fs.n, name=f"{fs.name}+conformal(t={t:g})", chart=fs.chart, f2=f2
         )
 
-    return MetricFamily(make=make, t_max=t_max, kind="conformal", k_fun=k_fun)
+    return MetricFamily(make=make, t_max=t_max, k_fun=k_fun)
 
 
 def randers_family(
@@ -192,7 +193,7 @@ def randers_family(
             n=fs.n, name=f"{fs.name}+randers(t={t:g})", chart=fs.chart, f2=f2
         )
 
-    return MetricFamily(make=make, t_max=t_max, kind="randers")
+    return MetricFamily(make=make, t_max=t_max)
 
 
 def _centred(family: MetricFamily, gs0: GridStructure, t_step: float):
@@ -233,7 +234,6 @@ def variation_residuals(
     family: MetricFamily,
     gs0: GridStructure,
     t_step: float = 1e-4,
-    c_fun=None,
 ) -> VariationReport:
     """Check the first-variation identities against centered differences.
 
@@ -241,7 +241,7 @@ def variation_residuals(
     (b) d eta/dt nodewise against (g^{ij} - (n/2) u^i u^j) h_ij eta;
     (c) dG^i_k/dt against the covariant-derivative expression (with the spray
         variation G'^s itself taken by centered differences);
-    (d) for conformal families, dI/dt against int H(u,u) tr_g(h) eta.
+    (d) for conformal families (``k_fun`` set), dI/dt against int H(u,u) tr_g(h) eta.
     """
     rep = VariationReport()
     n = 2
@@ -286,11 +286,11 @@ def variation_residuals(
     rep.residuals["G'^i_k relation"] = float(np.max(np.abs(dGj - rhs))) / max(scale, 1.0)
 
     # (d) conformal-direction functional variation
-    if family.kind == "conformal" and family.k_fun is not None:
+    if family.k_fun is not None:
         from .measure import functional_report
 
-        Ip = functional_report(gp, c_fun).I
-        Im = functional_report(gm, c_fun).I
+        Ip = functional_report(gp).I
+        Im = functional_report(gm).I
         dI = (Ip - Im) / (2.0 * t_step)
         closed = gs0.integrate(gs0.huu * tr_h)
         rep.residuals["conformal dI/dt"] = _rel(dI, closed)

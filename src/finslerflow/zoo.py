@@ -269,7 +269,7 @@ def list_entries() -> list[str]:
     return [get_entry(name).describe() for name in ZOO_NAMES]
 
 
-def reference_check(entry: ZooEntry, tol: float = 1e-6, samples: int = 12) -> dict:
+def reference_check(entry: ZooEntry, samples: int = 12) -> dict:
     """Compare pipeline outputs against every reference the entry supplies.
 
     Returns worst residual per quantity (reported, nothing raised).
@@ -316,7 +316,6 @@ def reference_check(entry: ZooEntry, tol: float = 1e-6, samples: int = 12) -> di
     if "gem" in entry.flags:
         xs = x[: min(4, len(x))]
         worst = 0.0
-        worst_eq6 = 0.0
         for xi in xs:
             worst = max(worst, gem_residual(fs, xi, n_theta=32))
         ht, _ = hat_scalars(fs, x, y)

@@ -200,6 +200,19 @@ def test_config_base_mode_accepted_by_report(capsys, tmp_path):
     assert code == 0 and json.loads(out)["metric"] == "funk-disk"
 
 
+def test_config_key_reaches_only_declaring_subcommands(capsys, tmp_path):
+    # every key was set on every subcommand, so report's manifest held base_mode and grid
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metric": "funk-disk", "base_mode": "spectral", "grid": "8,8,16"}))
+    out_dir = tmp_path / "rep"
+    code, _, _ = run_cli(capsys, "--config", str(cfg), "report", "--x", "0.2,0.1",
+                         "--theta", "0.7", "--out", str(out_dir))
+    assert code == 0
+    config = json.loads((out_dir / "manifest.json").read_text())["config"]
+    assert config["metric"] == "funk-disk"
+    assert "base_mode" not in config and "grid" not in config
+
+
 def test_verify_identities_small(capsys, tmp_path):
     out_dir = str(tmp_path / "ids")
     code, out, _ = run_cli(

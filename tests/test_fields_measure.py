@@ -116,6 +116,12 @@ def test_sm_integrate_examples(euclidean, grids_small):
         sm_integrate(np.ones((3, 3, 3)), gs)
 
 
+def test_unknown_base_mode_rejected_at_construction(randers, grids_small):
+    # "FD4" used to build and report a volume; only huu_integral raised
+    with pytest.raises(GridError, match=r"base_mode must be one of \('fd4', 'spectral'\)"):
+        GridStructure(randers.structure, *grids_small, base_mode="FD4")
+
+
 def test_quadrature_converges_in_fiber(randers):
     vols = []
     for nt in (128, 256):

@@ -481,6 +481,50 @@ def test_encode_state_takes_only_run_settings(conformal):
         encode_state(conformal.structure, bg, fg, name="other")  # the entry names it
 
 
+@pytest.mark.parametrize("key", ["time", "step", "grid", "mode", "stepper", "base_mode"])
+def test_checkpoint_missing_key_names_file_and_key(tmp_path, conformal, key):
+    # a missing key raised a bare KeyError
+    p = tmp_path / "chk.json"
+    write_checkpoint(str(p), make_state(conformal, N=16, NT=32))
+    rec = json.loads(p.read_text())
+    del rec[key]
+    p.write_text(json.dumps(rec))
+    with pytest.raises(FlowError, match=f"chk.json: the record has no '{key}'") as info:
+        read_checkpoint(str(p))
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 3, "base dimension must be 2, got 3"),
+    ("n_theta", 15, "need at least 16 fiber nodes, got 15"),
+    ("shape", [4, 4], "need at least 8 base nodes per axis, got 4"),
+    ("shape", 16, "'int' object is not iterable"),
+])
+def test_checkpoint_bad_grid_names_file(tmp_path, conformal, key, value, message):
+    # n 3 and n_theta 15 raised a bare GridError, a shape 16 a bare TypeError,
+    # and a 4 x 4 grid read back
+    p = tmp_path / "chk.json"
+    write_checkpoint(str(p), make_state(conformal, N=8, NT=16))
+    rec = json.loads(p.read_text())
+    rec["grid"][key] = value
+    if key == "shape":  # a logF that fits the 4 x 4 grid
+        rec["logF"] = base64.b64encode(np.zeros(4 * 4 * 16, "<f8").tobytes()).decode()
+    p.write_text(json.dumps(rec))
+    with pytest.raises(FlowError, match=f"chk.json: grid: {message}") as info:
+        read_checkpoint(str(p))
+    assert isinstance(info.value.__cause__, (GridError, TypeError))
+
+
+@pytest.mark.parametrize("checkpoint_every", [0, -1])
+def test_run_flow_rejects_checkpoint_period_below_one(tmp_path, conformal, checkpoint_every):
+    # 0 turned periodic checkpoints off and -1 wrote one every step
+    st = make_state(conformal, N=8, NT=16)
+    with pytest.raises(ValueError, match=f"checkpoint_every must be at least 1, got {checkpoint_every}"):
+        run_flow(st, steps=2, dt=1e-3, checkpoint_every=checkpoint_every,
+                 checkpoint_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_stores_every_setting(tmp_path, conformal):
     """Every run setting at a value other than its default reads back, and the
     header lists exactly the settings, in FlowState order, after ``step``."""

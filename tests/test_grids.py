@@ -87,7 +87,7 @@ def test_fd4_convergence_order(order):
 def test_fd4_padded_stencil_matches_roll_form(shape):
     """The padded-block FD4 gives the bits of the four-np.roll form, both axes and orders."""
     f = np.random.default_rng(3).standard_normal(shape)
-    bg = BaseGrid(2, shape[:2], (2 * np.pi, 3.0), (True, True))
+    bg = BaseGrid(shape[:2], (2 * np.pi, 3.0))
     for axis in (0, 1):
         h = bg.spacing[axis]
         r = lambda s: np.roll(f, -s, axis=axis)
@@ -114,9 +114,18 @@ def test_bad_requests():
         base_derivative(f, bg, 2, 1)
     with pytest.raises(GridError):
         base_derivative(f, bg, 0, 1, "unknown")
-    npg = BaseGrid(2, (16, 16), (1.0, 1.0), (True, False))
-    with pytest.raises(GridError):
-        base_derivative(f, npg, 1, 1, "fd4")
+
+
+@pytest.mark.parametrize("shape, lengths, message", [
+    ((4, 4), (1.0, 1.0), "at least 8 base nodes"),
+    ((16, 16, 16), (1.0, 1.0, 1.0), "2 axes"),
+    ((16, 16), (1.0,), "2 axes"),
+    ((16, 16), (1.0, 0.0), "non-positive axis length"),
+])
+def test_base_grid_is_the_one_check(shape, lengths, message):
+    """BaseGrid itself refuses what build_grid refuses: a 4 x 4 grid used to build."""
+    with pytest.raises(GridError, match=message):
+        BaseGrid(shape, lengths)
 
 
 def test_fiber_grid_invariants():

@@ -296,7 +296,7 @@ def test_variation_residuals_randers_on_curved(gs_conf, conformal):
 
 
 def test_variation_residuals_stationary_flat(gs_flat, euclidean):
-    fam = MetricFamily(make=lambda t: euclidean.structure, t_max=1.0, kind="family")
+    fam = MetricFamily(make=lambda t: euclidean.structure, t_max=1.0)
     rep = variation_residuals(fam, gs_flat, t_step=1e-4)
     for name, val in rep.residuals.items():
         assert val <= 1e-12, name
