@@ -8,6 +8,7 @@ off one :class:`PointAssembly`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -164,41 +165,47 @@ class GeodesicPath:
         return not self.complete
 
 
+def _rk4_stages(f: Callable, y, dt: float, k1) -> tuple:
+    """(k2, k3, k4) of a classical Runge-Kutta step of y' = f(y), given k1 = f(y)."""
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    return k2, k3, f(y + dt * k3)
+
+
+def _rk4_update(y, dt: float, k1, k2, k3, k4):
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4(f: Callable, y, dt: float, k1):
+    """One classical Runge-Kutta step of y' = f(y), given k1 = f(y)."""
+    return _rk4_update(y, dt, k1, *_rk4_stages(f, y, dt, k1))
+
+
 def geodesic_integrate(fs: FinslerStructure, x0, y0, T: float, dt: float) -> GeodesicPath:
-    """Integrate x'' + 2G(x, x') = 0 with classical RK4 at fixed step.
+    """Integrate x'' + 2G(x, x') = 0 with classical RK4 at fixed step, on z = (x, x').
 
     If the path, or one of its RK stages, leaves a non-periodic chart the
     result is truncated and flagged (``complete = False``).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(y0, dtype=float).copy()
 
-    def acc(xc, vc):
-        return -2.0 * spray(fs, xc, vc)
+    def f(z):
+        return np.concatenate([z[2:], -2.0 * spray(fs, z[:2], z[2:])])
 
-    steps = int(round(T / dt))
-    ts = [0.0]
-    xs = [x.copy()]
-    vs = [v.copy()]
+    z = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
+    zs = [z]
     complete = True
-    for k in range(steps):
-        k1x, k1v = v, acc(x, v)
+    for _ in range(int(round(T / dt))):
+        k1 = f(z)
         try:  # k1 ran at x, so a DomainError here means a stage left the chart
-            k2x, k2v = v + 0.5 * dt * k1v, acc(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
-            k3x, k3v = v + 0.5 * dt * k2v, acc(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
-            k4x, k4v = v + dt * k3v, acc(x + dt * k3x, v + dt * k3v)
+            z = _rk4(f, z, dt, k1)
         except DomainError:
             complete = False
             break
-        x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not fs.chart.contains(x):
+        if not fs.chart.contains(z[:2]):
             complete = False
             break
-        ts.append((k + 1) * dt)
-        xs.append(x.copy())
-        vs.append(v.copy())
-    return GeodesicPath(np.asarray(ts), np.asarray(xs), np.asarray(vs), complete)
-
+        zs.append(z)
+    zs = np.asarray(zs)
+    return GeodesicPath(dt * np.arange(len(zs)), zs[:, :2], zs[:, 2:], complete)

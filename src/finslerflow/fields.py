@@ -70,6 +70,7 @@ from .structures import FinslerStructure
 
 __all__ = [
     "GridStructure",
+    "sample_logF",
     "horizontal_cov_deriv",
     "fiber_partials",
     "theta_derivative",
@@ -84,9 +85,9 @@ def theta_derivative(w: np.ndarray, order=1):
     return _spectral(w, 2, 2.0 * np.pi, order)
 
 
-def _dtheta(w: np.ndarray, order=1):
-    """``theta_derivative`` on the last axis, for the slab workers."""
-    return _spectral(w, 2, 2.0 * np.pi, order)
+# The slab workers' name for it: perfbench's tracer patches the name
+# ``theta_derivative`` only, so the slab workers stay untraced.
+_dtheta = theta_derivative
 
 
 # Points per x1-slab of the polar closed forms (8 rows at 64^2 x 64): the
@@ -105,11 +106,30 @@ def fiber_partials(w: np.ndarray, d: int, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
+def sample_logF(fs: FinslerStructure, bgrid: BaseGrid, fgrid: FiberGrid) -> np.ndarray:
+    """log F of ``fs`` at the base nodes and y = e(theta), the one sampler of
+    ``GridStructure`` and ``flow.encode_state``.
+
+    Raises ``GridError`` unless the chart is a torus whose lengths, when it
+    states them, are the grid's to a relative 1e-12.
+    """
+    L = fs.chart.lengths
+    if not fs.chart.periodic:
+        raise GridError(f"{fs.name}: non-periodic chart cannot be grid-sampled "
+                        "(pointwise curvature remains available)")
+    if L is not None and not np.allclose(bgrid.lengths, L, rtol=1e-12, atol=0.0):
+        raise GridError(f"{fs.name}: grid lengths {bgrid.lengths} are not the torus's {L}")
+    e = np.stack([np.cos(fgrid.thetas), np.sin(fgrid.thetas)], axis=-1)
+    F = fs.F(bgrid.nodes()[:, :, None, :], e[None, None])
+    return np.log(np.broadcast_to(F, bgrid.shape + (fgrid.n_theta,)).copy())
+
+
 class GridStructure(algebra.ConnectionStack):
     """The connection stack on float fields at y = e(theta), plus grid-only quantities.
 
-    ``source`` is either a :class:`FinslerStructure` on a periodic chart or
-    a log F array of shape ``bgrid.shape + (n_theta,)`` (a flow state).
+    ``source`` is a log F array of shape ``bgrid.shape + (n_theta,)`` or a
+    :class:`FinslerStructure`, sampled by :func:`sample_logF` as in
+    ``flow.encode_state``; F^2 is e^{2 log F}, so the two agree bit for bit.
     """
 
     def __init__(
@@ -125,9 +145,8 @@ class GridStructure(algebra.ConnectionStack):
         self.base_mode = base_mode
         self.thetas = fgrid.thetas
         self._cache: dict = {}
-        nodes = bgrid.nodes()  # (N1, N2, 2)
-        self.x_nodes = nodes
-        self.x = nodes[:, :, None, :]  # (N1, N2, 1, 2)
+        self.x_nodes = bgrid.nodes()  # (N1, N2, 2)
+        self.x = self.x_nodes[:, :, None, :]  # (N1, N2, 1, 2)
         th = self.thetas
         self.e = np.stack([np.cos(th), np.sin(th)], axis=-1)  # (Ntheta, 2)
         self.eperp = np.stack([-np.sin(th), np.cos(th)], axis=-1)
@@ -136,24 +155,18 @@ class GridStructure(algebra.ConnectionStack):
         step = max(1, _SLAB_POINTS // (want[1] * want[2]))
         self._slab_rows = [slice(i, min(i + step, want[0])) for i in range(0, want[0], step)]
         if isinstance(source, FinslerStructure):
-            if not source.chart.periodic:
-                raise GridError(f"{source.name}: non-periodic chart cannot be grid-sampled")
-            F2 = source.F2(self.x, self.y)
-            self.F2 = np.broadcast_to(F2, want).copy()
-            self.logF = 0.5 * np.log(self.F2)
-            lo, hi = np.min(self.F2), np.max(self.F2)
-        else:
-            logF = np.asarray(source, dtype=float)
-            if logF.shape != want:
-                raise GridError(f"logF shape {logF.shape} != {want}")
-            self.logF = logF
+            source = sample_logF(source, bgrid, fgrid)
+        logF = np.asarray(source, dtype=float)
+        if logF.shape != want:
+            raise GridError(f"logF shape {logF.shape} != {want}")
+        self.logF = logF
 
-            def formula(r, F2):
-                np.exp(2.0 * logF[r], out=F2)
-                return np.min(F2), np.max(F2)
-            with np.errstate(over="ignore"):
-                self.F2, lows, highs = self.slabwise(formula, 1, 2)
-            lo, hi = np.min(lows), np.max(highs)
+        def formula(r, F2):
+            np.exp(2.0 * logF[r], out=F2)
+            return np.min(F2), np.max(F2)
+        with np.errstate(over="ignore"):
+            self.F2, lows, highs = self.slabwise(formula, 1, 2)
+        lo, hi = np.min(lows), np.max(highs)
         # false for a NaN, as np.min and np.max pass it on
         if not (lo > 0.0 and hi < np.inf):
             raise GridError("F^2 must be finite and positive on the grid")
@@ -164,8 +177,8 @@ class GridStructure(algebra.ConnectionStack):
         return np.sqrt(self.F2)
 
     # -- engine ------------------------------------------------------------
-    def dx(self, field: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-        return base_derivative(field, self.bgrid, axis, order, self.base_mode)
+    def dx(self, field: np.ndarray, axis: int) -> np.ndarray:
+        return base_derivative(field, self.bgrid, axis, 1, self.base_mode)
 
     def base(self, field: np.ndarray) -> np.ndarray:
         """d/dx^k of a field, on a new last axis k."""

@@ -23,11 +23,11 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .fields import GridStructure
+from .connections import _rk4, _rk4_stages, _rk4_update
+from .fields import GridStructure, sample_logF
 from .grids import BaseGrid, FiberGrid, GridError, check_base_mode
 from .structures import FinslerStructure, SingularMetricError
 
@@ -150,7 +150,8 @@ def _fiber_project(logF: np.ndarray, cut: int | None) -> np.ndarray:
 def encode_state(
     entry: FinslerStructure, bgrid: BaseGrid, fgrid: FiberGrid, **config
 ) -> FlowState:
-    """Sample log F on the section y = e(theta) of an analytic structure.
+    """The flow state of an analytic structure, sampled by ``fields.sample_logF``
+    as ``GridStructure(entry, ...)`` is, so their grid fields agree bit for bit.
 
     ``config`` holds the run settings of :class:`FlowState` (``mode``,
     ``stepper``, ``base_mode``, ``safety``, ``fiber_cut``) and is checked
@@ -159,17 +160,8 @@ def encode_state(
     unknown = set(config).difference(_CONFIG)
     if unknown:
         raise TypeError(f"encode_state got unknown settings {sorted(unknown)}")
-    if not entry.chart.periodic:
-        raise GridError(
-            f"{entry.name}: non-periodic chart; grid flow needs a torus "
-            "(pointwise curvature remains available)"
-        )
-    nodes = bgrid.nodes()[:, :, None, :]
-    th = fgrid.thetas
-    e = np.stack([np.cos(th), np.sin(th)], axis=-1)[None, None, :, :]
-    F = entry.F(nodes, e)
-    logF = np.log(np.broadcast_to(F, bgrid.shape + (fgrid.n_theta,)).copy())
-    return FlowState(bgrid=bgrid, fgrid=fgrid, logF=logF, name=entry.name, **config)
+    return FlowState(bgrid=bgrid, fgrid=fgrid, logF=sample_logF(entry, bgrid, fgrid),
+                     name=entry.name, **config)
 
 
 def curvature_field(state: FlowState) -> np.ndarray:
@@ -191,22 +183,6 @@ def dt_policy(state: FlowState) -> float:
     h = min(state.bgrid.spacing)
     n = state.bgrid.n
     return state.safety * h * h / (2.0 * n * (1.0 + pre))
-
-
-def _rk4_stages(f: Callable, y, dt: float, k1) -> tuple:
-    """(k2, k3, k4) of a classical Runge-Kutta step of y' = f(y), given k1 = f(y)."""
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    return k2, k3, f(y + dt * k3)
-
-
-def _rk4_update(y, dt: float, k1, k2, k3, k4):
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4(f: Callable, y, dt: float, k1):
-    """One classical Runge-Kutta step of y' = f(y), given k1 = f(y)."""
-    return _rk4_update(y, dt, k1, *_rk4_stages(f, y, dt, k1))
 
 
 def _advance(state: FlowState, dt: float) -> np.ndarray:
@@ -420,16 +396,10 @@ def uniform_scaling_flow(
         c = huu if normalized else 0.0
         return -(huu - c) * phi
 
-    steps = int(round(T / dt))
-    ts = np.empty(steps + 1)
-    phis = np.empty(steps + 1)
-    ts[0], phis[0] = 0.0, 1.0
-    phi = 1.0
-    for k in range(steps):
-        phi = _rk4(rhs, phi, dt, rhs(phi))
-        ts[k + 1] = (k + 1) * dt
-        phis[k + 1] = phi
-    return ts, phis
+    phis = [1.0]
+    for _ in range(int(round(T / dt))):
+        phis.append(_rk4(rhs, phis[-1], dt, rhs(phis[-1])))
+    return dt * np.arange(len(phis)), np.asarray(phis)
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +442,13 @@ def write_checkpoint(path: str, state: FlowState) -> None:
 
 def _decode_logF(path: str, record: dict) -> np.ndarray:
     """The flat logF of a version 1 (JSON list) or version 2 (base64) record."""
-    if record["version"] == 1:
-        return np.asarray(record["logF"], dtype=float)
     try:
+        if record["version"] == 1:
+            return np.asarray(record["logF"], dtype=float)
         raw = base64.b64decode(record["logF"], validate=True)
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise FlowError(f"{path}: logF is not valid base64 ({exc})") from exc
+        kind = "a list of numbers" if record["version"] == 1 else "valid base64"
+        raise FlowError(f"{path}: logF is not {kind} ({exc})") from exc
     if len(raw) % 8:
         raise FlowError(f"{path}: logF holds {len(raw)} bytes, not a whole number of float64")
     return np.frombuffer(raw, dtype="<f8").astype(float)
@@ -488,14 +459,19 @@ def read_checkpoint(path: str) -> FlowState:
 
     ``time``, ``step``, ``grid``, ``mode``, ``stepper`` and ``base_mode`` are
     required; ``safety``, ``fiber_cut`` and ``name`` keep the defaults of
-    :class:`FlowState` when absent.  A missing key, a grid other than n = 2
-    or one that :class:`BaseGrid` or :class:`FiberGrid` refuses, a mistyped
-    grid or setting and a damaged logF raise a ``FlowError`` naming the file;
-    an unknown setting value raises the ``ValueError`` of ``FlowState``.
+    :class:`FlowState` when absent.  A file that is not JSON or holds no
+    JSON object, a missing key (``logF`` too), a grid other than n = 2 or
+    one that :class:`BaseGrid` or :class:`FiberGrid` refuses, a mistyped
+    grid or setting and a damaged logF raise a ``FlowError`` naming the
+    file, with the error it caught as its cause; an unknown setting value
+    raises the ``ValueError`` of ``FlowState``.
     """
-    with open(path) as fh:
-        record = json.load(fh)
-    if record.get("format") != CHECKPOINT_FORMAT:
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise FlowError(f"{path}: not a JSON record ({exc})") from exc
+    if not isinstance(record, dict) or record.get("format") != CHECKPOINT_FORMAT:
         raise FlowError(f"not a checkpoint file: {path}")
     if record.get("version") not in (1, CHECKPOINT_VERSION):
         raise FlowError(f"{path}: unsupported checkpoint version {record.get('version')}")
@@ -507,12 +483,12 @@ def read_checkpoint(path: str) -> FlowState:
         bgrid, fgrid = BaseGrid(tuple(g["shape"]), tuple(g["lengths"])), FiberGrid(g["n_theta"])
         t, step_index = record["time"], record["step"]
         config = {key: record[key] for key in _CONFIG if key in record or key in required}
+        logF = _decode_logF(path, record)
     except KeyError as exc:
         raise FlowError(f"{path}: the record has no {exc.args[0]!r}") from exc
     except (GridError, TypeError) as exc:
         raise FlowError(f"{path}: grid: {exc}") from exc
     shape = bgrid.shape + (fgrid.n_theta,)
-    logF = _decode_logF(path, record)
     if logF.shape != (math.prod(shape),):
         raise FlowError(
             f"{path}: logF holds {logF.size} values, the {shape} grid needs "

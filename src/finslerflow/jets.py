@@ -258,14 +258,14 @@ class Jet:
         return Jet(spec.box(0, 0)[0], c, spec.border, spec.forder)
 
     @staticmethod
-    def variable(spec: JetSpec, kind: str, var: int, value, shape=()) -> "Jet":
+    def variable(spec: JetSpec, kind: str, var: int, value) -> "Jet":
         """Seed jet for a base ('x') or fiber ('y') coordinate, valid on ``spec``'s orders."""
         if kind not in ("x", "y"):
             raise ValueError(f"unknown variable kind {kind!r}")
         base = kind == "x"
         sub = spec.box(min(spec.border, 1), 0)[0] if base else spec.box(0, min(spec.forder, 1))[0]
         value = np.asarray(value, dtype=float)
-        c = np.zeros((sub.ncoeff,) + np.broadcast_shapes(value.shape, shape))
+        c = np.zeros((sub.ncoeff,) + value.shape)
         c[0] = value
         if sub.ncoeff > 1:  # else its kind has order 0 and the seed is a constant
             unit = tuple(int(t == var) for t in range(spec.nbase if base else spec.nfiber))

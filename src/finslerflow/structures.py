@@ -186,13 +186,13 @@ def fiber_jet(fs: FinslerStructure, x, y, req: JetRequest):
 _PRIMES = (2, 3, 5, 7, 11)
 
 
-def halton(count: int, dims: int, skip: int = 20) -> np.ndarray:
-    """Low-discrepancy Halton points in [0,1)^dims (deterministic)."""
+def halton(count: int, dims: int) -> np.ndarray:
+    """Low-discrepancy Halton points in [0,1)^dims (deterministic), from index 21 on."""
     out = np.empty((count, dims))
     for d in range(dims):
         b = _PRIMES[d]
         for i in range(count):
-            k = i + skip + 1
+            k = i + 21
             f, r = 1.0, 0.0
             while k > 0:
                 f /= b

@@ -14,6 +14,7 @@ from finslerflow.fields import (
     horizontal_cov_deriv,
     theta_derivative,
 )
+from finslerflow.flow import diagnostics, encode_state
 from finslerflow.grids import GridError, base_derivative
 from finslerflow.jets import cos_, sin_, sqrt_
 from finslerflow.measure import (
@@ -330,6 +331,36 @@ def test_functional_is_twice_integrated_huu(name, params, mode):
     gs = GridStructure(ff.get_entry(name, **params).structure, bg, fg, base_mode=mode)
     gap = abs(functional_report(gs).I - 2.0 * gs.integrate(gs.huu))
     assert gap <= 1e-12 * gs.integrate(np.abs(gs.h_tilde))
+
+
+@pytest.mark.parametrize("mode", ["fd4", "spectral"])
+@pytest.mark.parametrize("name", ["randers-torus", "conformal-torus", "quartic-minkowski"])
+def test_structure_and_its_flow_state_agree_bit_for_bit(name, mode):
+    # GridStructure kept the analytic F^2 and took log F = log(F^2) / 2, while
+    # encode_state took log F = log sqrt(F^2), and every field differed
+    bg, fg = ff.build_grid(2, 16, TWO_PI, 32)
+    fs = ff.get_entry(name).structure
+    gs = GridStructure(fs, bg, fg, mode)
+    flow_gs = encode_state(fs, bg, fg, base_mode=mode).grid_structure()
+    for key in ("logF", "F2", "rho", "huu", "h_tilde"):
+        assert np.array_equal(getattr(gs, key), getattr(flow_gs, key)), key
+
+
+def test_functional_is_the_flows_row_zero(conformal):
+    # with two samplers, I read 8.78e-16 here and -4.68e-16 on the flow's row 0
+    bg, fg = ff.build_grid(2, 64, TWO_PI, 64)
+    report = functional_report(GridStructure(conformal.structure, bg, fg, "fd4"))
+    assert report.I == diagnostics(encode_state(conformal.structure, bg, fg)).I
+
+
+@pytest.mark.parametrize("sample", [
+    lambda fs, bg, fg: GridStructure(fs, bg, fg), encode_state,
+], ids=["GridStructure", "encode_state"])
+def test_grid_must_cover_the_torus(conformal, sample):
+    # a grid over [0, pi)^2 was read as the whole 2 pi torus: max |H(u,u)| 35.1, not 0.597
+    bg, fg = ff.build_grid(2, 32, np.pi, 32)
+    with pytest.raises(GridError, match=r"grid lengths \(3.14.*\) are not the torus's \(6.28"):
+        sample(conformal.structure, bg, fg)
 
 
 @pytest.mark.parametrize("N, mode, tol", [(32, "fd4", 2.5e-4), (48, "spectral", 3e-9)])

@@ -481,7 +481,7 @@ def test_encode_state_takes_only_run_settings(conformal):
         encode_state(conformal.structure, bg, fg, name="other")  # the entry names it
 
 
-@pytest.mark.parametrize("key", ["time", "step", "grid", "mode", "stepper", "base_mode"])
+@pytest.mark.parametrize("key", ["time", "step", "grid", "mode", "stepper", "base_mode", "logF"])
 def test_checkpoint_missing_key_names_file_and_key(tmp_path, conformal, key):
     # a missing key raised a bare KeyError
     p = tmp_path / "chk.json"
@@ -492,6 +492,31 @@ def test_checkpoint_missing_key_names_file_and_key(tmp_path, conformal, key):
     with pytest.raises(FlowError, match=f"chk.json: the record has no '{key}'") as info:
         read_checkpoint(str(p))
     assert isinstance(info.value.__cause__, KeyError)
+
+
+@pytest.mark.parametrize("damage, message, cause", [
+    ("v1 string", "chk.json: logF is not a list of numbers", ValueError),
+    ("not an object", "not a checkpoint file: .*chk.json", None),
+    ("not JSON", "chk.json: not a JSON record", ValueError),
+], ids=["v1-string", "not-an-object", "not-json"])
+def test_checkpoint_malformed_record_names_file(tmp_path, conformal, damage, message, cause):
+    # these raised a bare ValueError, AttributeError and JSONDecodeError
+    st = make_state(conformal, N=8, NT=16)
+    p = tmp_path / "chk.json"
+    write_checkpoint(str(p), st)
+    rec = json.loads(p.read_text())
+    if damage == "v1 string":
+        rec["version"] = 1
+        rec["logF"] = st.logF.ravel().tolist()
+        rec["logF"][5] = "x"
+        p.write_text(json.dumps(rec))
+    elif damage == "not an object":
+        p.write_text("[1, 2]")
+    else:
+        p.write_text(p.read_text()[:-2])
+    with pytest.raises(FlowError, match=message) as info:
+        read_checkpoint(str(p))
+    assert (info.value.__cause__ is None) if cause is None else isinstance(info.value.__cause__, cause)
 
 
 @pytest.mark.parametrize("key, value, message", [
