@@ -39,7 +39,6 @@ from .curvature import (
 from .fields import GridStructure
 from .measure import (
     liouville_density,
-    sm_integrate,
     functional_report,
     global_inner,
     FunctionalReport,

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .flow import STEPPERS, FlowDiagnostics, FlowError, encode_state, run_flow
 from .grids import BASE_MODES, GridError, build_grid
-from .structures import DomainError, SingularMetricError, validate_structure
+from .structures import SingularMetricError, validate_structure
 from .zoo import get_entry, list_entries
 
 EXIT_OK = 0
@@ -253,8 +253,8 @@ def cmd_flow(args) -> int:
         if value is not None and value < 1:
             raise UsageError(f"{flag} must be at least 1, got {value}")
     for flag, value in (("--dt", args.dt), ("--safety", args.safety)):
-        if value is not None and not value > 0:
-            raise UsageError(f"{flag} must be positive, got {value}")
+        if value is not None and not 0 < value < np.inf:
+            raise UsageError(f"{flag} must be positive and finite, got {value}")
     state = encode_state(
         entry.structure,
         bgrid,
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
     except (GridError, ValueError, KeyError) as exc:
         _error_record(EXIT_USAGE, str(exc))
         return EXIT_USAGE
-    except (FlowError, SingularMetricError, DomainError, ArithmeticError) as exc:
+    except (FlowError, SingularMetricError, ArithmeticError) as exc:
         _error_record(EXIT_NUMERICAL, str(exc))
         return EXIT_NUMERICAL
 

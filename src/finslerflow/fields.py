@@ -37,10 +37,9 @@ one per dependency boundary:
 So ``rho`` alone builds no spray, and an rk4 stage, which reads H(u,u) and
 its integral, builds no Htilde.  ``volume``, ``huu_integral``,
 ``h_tilde_integral``, ``max_abs_huu`` and ``min_eig_g`` reduce the per-slab
-values in slab order; with 8 slabs of 32768 points (64^3) ``np.sum`` of the 8
-sums runs numpy's pairwise tree, so the integrals equal ``integrate``'s bit
-for bit, and at other shapes they differ in the last digits.  F^2 and the
-flow's update and fiber projection are slab passes too.
+values in slab order, and ``integrate`` sums any field the same way, so
+``integrate(huu)`` is ``huu_integral`` at every grid.  F^2 and the flow's
+update and fiber projection are slab passes too.
 
 Each pass writes into preallocated full-size fields, in the source's dtype;
 slabs run through ``slabwise`` and ``workers.run``, on the worker pool that
@@ -111,7 +110,8 @@ def sample_logF(fs: FinslerStructure, bgrid: BaseGrid, fgrid: FiberGrid) -> np.n
     ``GridStructure`` and ``flow.encode_state``.
 
     Raises ``GridError`` unless the chart is a torus whose lengths, when it
-    states them, are the grid's to a relative 1e-12.
+    states them, are the grid's to a relative 1e-12, and unless F is finite
+    and positive there.
     """
     L = fs.chart.lengths
     if not fs.chart.periodic:
@@ -120,7 +120,11 @@ def sample_logF(fs: FinslerStructure, bgrid: BaseGrid, fgrid: FiberGrid) -> np.n
     if L is not None and not np.allclose(bgrid.lengths, L, rtol=1e-12, atol=0.0):
         raise GridError(f"{fs.name}: grid lengths {bgrid.lengths} are not the torus's {L}")
     e = np.stack([np.cos(fgrid.thetas), np.sin(fgrid.thetas)], axis=-1)
-    F = fs.F(bgrid.nodes()[:, :, None, :], e[None, None])
+    with np.errstate(all="ignore"):
+        F = fs.F(bgrid.nodes()[:, :, None, :], e[None, None])
+    # false for a NaN
+    if not (np.all(F > 0.0) and np.all(F < np.inf)):
+        raise GridError(f"{fs.name}: F must be finite and positive on the grid")
     return np.log(np.broadcast_to(F, bgrid.shape + (fgrid.n_theta,)).copy())
 
 
@@ -446,14 +450,16 @@ class GridStructure(algebra.ConnectionStack):
 
     # -- grid-only quantities ------------------------------------------------
     def integrate(self, field: np.ndarray) -> float:
-        """Integral over SM against the Liouville measure (deterministic order)."""
+        """Integral over SM against the Liouville measure, summed by slabs as
+        the passes sum ``volume``, ``huu_integral`` and ``h_tilde_integral``."""
         if field.shape != self.F2.shape:
             raise GridError("field shape does not match the grid")
-        return float(np.sum(field * self.rho) * self.weight)
+        rho = self.rho
+        (partials,) = self.slabwise(lambda r: (np.sum(field[r] * rho[r]),), 0, 1)
+        return self._slab_integral(partials)
 
     def _slab_integral(self, partials: np.ndarray) -> float:
-        """An integral from its per-slab sums: with 8 slabs of 32768 points
-        (64^3) ``np.sum`` adds them in the pairwise tree ``integrate`` runs."""
+        """An integral from its per-slab sums, reduced in slab order."""
         return float(np.sum(partials) * self.weight)
 
     @property

@@ -99,8 +99,8 @@ class FlowState:
         if self.stepper not in STEPPERS:
             raise ValueError(f"stepper must be one of {STEPPERS}, got {self.stepper!r}")
         check_base_mode(self.base_mode)
-        if not self.safety > 0:
-            raise ValueError(f"safety factor must be positive, got {self.safety}")
+        if not 0 < self.safety < np.inf:
+            raise ValueError(f"safety factor must be positive and finite, got {self.safety}")
         if self.fiber_cut is not None and self.fiber_cut < 0:
             raise ValueError(f"fiber_cut must be >= 0 or None, got {self.fiber_cut}")
 
@@ -336,8 +336,8 @@ def run_flow(
                         ("checkpoint_every", checkpoint_every)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    if dt is not None and not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if dt is not None and not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     rows = []
     failure = detail = None
     k = 0

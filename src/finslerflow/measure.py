@@ -24,7 +24,6 @@ from .structures import FinslerStructure
 
 __all__ = [
     "liouville_density",
-    "sm_integrate",
     "FunctionalReport",
     "functional_report",
     "global_inner",
@@ -43,11 +42,6 @@ def liouville_density(fs: FinslerStructure, x, theta) -> np.ndarray:
     pa = PointAssembly(fs, x, y, forder=2, border=0)
     pa.require_spd()
     return pa.rho
-
-
-def sm_integrate(field: np.ndarray, gs: GridStructure) -> float:
-    """Integral of a scalar field over SM against the Liouville measure."""
-    return gs.integrate(np.asarray(field, dtype=float))
 
 
 @dataclass

@@ -287,11 +287,7 @@ def variation_residuals(
 
     # (d) conformal-direction functional variation
     if family.k_fun is not None:
-        from .measure import functional_report
-
-        Ip = functional_report(gp).I
-        Im = functional_report(gm).I
-        dI = (Ip - Im) / (2.0 * t_step)
+        dI = (gp.h_tilde_integral - gm.h_tilde_integral) / (2.0 * t_step)
         closed = gs0.integrate(gs0.huu * tr_h)
         rep.residuals["conformal dI/dt"] = _rel(dI, closed)
         rep.values["dI_dt"] = dI

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import cos_, exp_, power_, sin_, sqrt_
+from .jets import cos_, exp_, sin_, sqrt_
 from .structures import Chart, FinslerStructure, validate_structure
 
 __all__ = ["ZooEntry", "get_entry", "list_entries", "reference_check", "ZOO_NAMES"]

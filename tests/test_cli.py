@@ -253,6 +253,8 @@ def test_flow_negative_fiber_cut_exit_2(capsys, tmp_path):
     ("--steps", "0"),
     ("--dt", "-1"),
     ("--safety", "0"),
+    ("--dt", "inf"),
+    ("--safety", "inf"),
 ])
 def test_flow_bad_option_exit_2_writes_nothing(capsys, tmp_path, flag, value):
     # a negative gem stride would sample other nodes, and 0 is no slice step;
@@ -265,6 +267,20 @@ def test_flow_bad_option_exit_2_writes_nothing(capsys, tmp_path, flag, value):
     assert code == 2 and out == ""
     (rec,) = json_lines(err)
     assert rec["code"] == 2 and rec["error"].startswith(flag + " ")
+    assert not out_dir.exists()
+
+
+def test_flow_non_finite_F_exit_2_writes_nothing(capsys, tmp_path):
+    # exited 1 after writing a manifest, a header-only CSV and a final
+    # checkpoint that read_checkpoint refuses
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(
+        capsys, "flow", "--metric", "conformal-torus", "--metric-params", '{"amp": 800}',
+        "--grid", "8,8,16", "--steps", "1", "--out", str(out_dir),
+    )
+    assert code == 2 and out == ""
+    (rec,) = json_lines(err)
+    assert rec["error"] == "conformal-torus: F must be finite and positive on the grid"
     assert not out_dir.exists()
 
 

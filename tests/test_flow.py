@@ -473,6 +473,14 @@ def test_flow_state_rejects_mistyped_setting(conformal, key, value):
             encode_state(conformal.structure, bg, fg, **{key: value})
 
 
+def test_flow_state_rejects_infinite_safety():
+    # safety inf passed, failed at the first step and wrote "safety": Infinity,
+    # which is not JSON, into the checkpoint
+    bg, fg = ff.build_grid(2, 8, TWO_PI, 16)
+    with pytest.raises(ValueError, match="safety factor must be positive and finite, got inf"):
+        FlowState(bg, fg, np.zeros(bg.shape + (fg.n_theta,)), safety=np.inf)
+
+
 def test_encode_state_takes_only_run_settings(conformal):
     bg, fg = ff.build_grid(2, 8, TWO_PI, 16)
     with pytest.raises(TypeError, match="unknown settings"):
@@ -538,6 +546,15 @@ def test_checkpoint_bad_grid_names_file(tmp_path, conformal, key, value, message
     with pytest.raises(FlowError, match=f"chk.json: grid: {message}") as info:
         read_checkpoint(str(p))
     assert isinstance(info.value.__cause__, (GridError, TypeError))
+
+
+@pytest.mark.parametrize("dt", [0.0, np.inf, np.nan])
+def test_run_flow_rejects_dt_not_positive_and_finite(tmp_path, conformal, dt):
+    # dt inf passed and failed as a numerical error after the files were written
+    st = make_state(conformal, N=8, NT=16)
+    with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+        run_flow(st, steps=2, dt=dt, checkpoint_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("checkpoint_every", [0, -1])
