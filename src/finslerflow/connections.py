@@ -187,8 +187,10 @@ def geodesic_integrate(fs: FinslerStructure, x0, y0, T: float, dt: float) -> Geo
     If the path, or one of its RK stages, leaves a non-periodic chart the
     result is truncated and flagged (``complete = False``).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not 0 <= T < np.inf:
+        raise ValueError(f"T must be non-negative and finite, got {T}")
 
     def f(z):
         return np.concatenate([z[2:], -2.0 * spray(fs, z[:2], z[2:])])

@@ -215,8 +215,8 @@ def step(state: FlowState, dt: float, max_retries: int = 5) -> FlowState:
 
     After ``max_retries`` halvings the ``FlowError`` names the last rejection.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     for attempt in range(max_retries + 1):
         try:
             logF1 = _advance(state, dt)
@@ -380,8 +380,8 @@ def uniform_scaling_flow(
     """
     from .curvature import ricci_directional
 
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     x0 = np.asarray(x0, dtype=float)
     y0 = np.array([np.cos(theta0), np.sin(theta0)])
 

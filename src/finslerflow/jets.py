@@ -29,7 +29,11 @@ and a sum the larger one, each clipped to the valid box; a derivative
 lowers its own kind by one.  So x-only and y-only factors, such as a
 conformal factor and |y|^2, multiply on their small boxes, and a product
 skips exactly the terms with a zero factor, summing the others in the same
-order as a product over the whole valid box.
+order as a product over the whole valid box.  A sum or product cuts each
+operand to their common valid box, copying coefficients only where the
+stored box exceeds it, and broadcasts leading shapes only where they
+differ.  At one point a product is a few dozen small numpy calls, so its
+cost is their per-call overhead, not arithmetic.
 """
 
 from __future__ import annotations
@@ -242,10 +246,8 @@ class Jet:
     __array_ufunc__ = None
 
     def __post_init__(self):
-        border, forder = min(self.spec.border, self.bvalid), min(self.spec.forder, self.fvalid)
-        if (border, forder) != (self.spec.border, self.spec.forder):
-            self.spec, idx = self.spec.box(border, forder)
-            self.c = self.c[idx]
+        if self.spec.border > self.bvalid or self.spec.forder > self.fvalid:
+            self.spec, self.c = self._cut(self.bvalid, self.fvalid)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -328,21 +330,22 @@ class Jet:
             return other
         return Jet.constant(self.valid_spec, other, self.shape)
 
-    def _common(self, other) -> tuple["Jet", "Jet"]:
-        """Both operands cut to their common valid box."""
-        o = self._coerce(other)
-        bvalid, fvalid = min(self.bvalid, o.bvalid), min(self.fvalid, o.fvalid)
-        return Jet(self.spec, self.c, bvalid, fvalid), Jet(o.spec, o.c, bvalid, fvalid)
+    def _cut(self, bvalid: int, fvalid: int) -> tuple[JetSpec, np.ndarray]:
+        """The stored box and coefficients cut to the (bvalid, fvalid) box; a copy only if cut."""
+        if self.spec.border <= bvalid and self.spec.forder <= fvalid:
+            return self.spec, self.c
+        spec, idx = self.spec.box(min(self.spec.border, bvalid), min(self.spec.forder, fvalid))
+        return spec, self.c[idx]
 
     def _combine(self, other, op) -> "Jet":
         """``op`` of the coefficients of both operands, zero-padded to the larger stored box."""
-        a, b = self._common(other)
-        spec = jet_spec(
-            a.spec.nbase, max(a.spec.border, b.spec.border),
-            a.spec.nfiber, max(a.spec.forder, b.spec.forder),
-        )
-        ndim = max(a.c.ndim, b.c.ndim) - 1
-        return Jet(spec, op(_embed(a, spec, ndim), _embed(b, spec, ndim)), a.bvalid, a.fvalid)
+        o = self._coerce(other)
+        bvalid, fvalid = min(self.bvalid, o.bvalid), min(self.fvalid, o.fvalid)
+        (sa, ac), (sb, bc) = self._cut(bvalid, fvalid), o._cut(bvalid, fvalid)
+        spec = jet_spec(sa.nbase, max(sa.border, sb.border), sa.nfiber, max(sa.forder, sb.forder))
+        ndim = max(ac.ndim, bc.ndim) - 1
+        c = op(_embed(sa, ac, spec, ndim), _embed(sb, bc, spec, ndim))
+        return Jet(spec, c, bvalid, fvalid)
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -362,24 +365,21 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             other = np.asarray(other, dtype=float)
-            return Jet(
-                self.spec,
-                _lift(self.c, other.ndim) * other,
-                self.bvalid,
-                self.fvalid,
-            )
+            return Jet(self.spec, _lift(self.c, other.ndim) * other, self.bvalid, self.fvalid)
         # The valid spec's triplets restricted to the stored boxes drop only
         # terms with an exactly zero factor and keep the others in order, so
         # each coefficient is summed exactly as a product over the valid box.
-        a, b = self._common(other)
-        spec, triplets, groups = a.valid_spec.mul_plan(
-            (a.spec.border, a.spec.forder), (b.spec.border, b.spec.forder)
-        )
-        ndim = max(a.c.ndim, b.c.ndim) - 1
-        ac, bc = _lift(a.c, ndim), _lift(b.c, ndim)
-        lead = np.broadcast_shapes(ac.shape[1:], bc.shape[1:])
-        ac = np.broadcast_to(ac, ac.shape[:1] + lead)
-        bc = np.broadcast_to(bc, bc.shape[:1] + lead)
+        o = self._coerce(other)
+        bvalid, fvalid = min(self.bvalid, o.bvalid), min(self.fvalid, o.fvalid)
+        (sa, ac), (sb, bc) = self._cut(bvalid, fvalid), o._cut(bvalid, fvalid)
+        plan = jet_spec(sa.nbase, bvalid, sa.nfiber, fvalid).mul_plan
+        spec, triplets, groups = plan((sa.border, sa.forder), (sb.border, sb.forder))
+        lead = ac.shape[1:]
+        if bc.shape[1:] != lead:
+            ndim = max(ac.ndim, bc.ndim) - 1
+            ac, bc = _lift(ac, ndim), _lift(bc, ndim)
+            lead = np.broadcast_shapes(ac.shape[1:], bc.shape[1:])
+            ac, bc = (np.broadcast_to(m, m.shape[:1] + lead) for m in (ac, bc))
         out = np.zeros((spec.ncoeff,) + lead)
         if math.prod(lead) < _GROUPED_MAX_POINTS:
             for i, js, ks in groups:
@@ -387,7 +387,7 @@ class Jet:
         else:
             for i, j, k in triplets:
                 out[k] += ac[i] * bc[j]
-        return Jet(spec, out, a.bvalid, a.fvalid)
+        return Jet(spec, out, bvalid, fvalid)
 
     __rmul__ = __mul__
 
@@ -449,12 +449,12 @@ class Jet:
         return self._recip
 
 
-def _embed(jet: Jet, spec: JetSpec, ndim: int) -> np.ndarray:
-    """A jet's coefficients zero-padded to the box ``spec``, leads lifted to ``ndim`` axes."""
-    if jet.spec is spec:
-        return _lift(jet.c, ndim)
-    out = np.zeros((spec.ncoeff,) + jet.shape)
-    out[spec.box(jet.spec.border, jet.spec.forder)[1]] = jet.c
+def _embed(box: JetSpec, c: np.ndarray, spec: JetSpec, ndim: int) -> np.ndarray:
+    """Coefficients ``c`` on ``box`` zero-padded to the box ``spec``, leads lifted to ``ndim``."""
+    if box is spec:
+        return _lift(c, ndim)
+    out = np.zeros((spec.ncoeff,) + c.shape[1:])
+    out[spec.box(box.border, box.forder)[1]] = c
     return _lift(out, ndim)
 
 

@@ -137,10 +137,20 @@ def test_uniform_sphere_normalized_stationary(sphere):
     assert np.max(np.abs(phis - 1.0)) <= 1e-10 * len(ts)
 
 
-@pytest.mark.parametrize("dt", [0.0, -1e-3])
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.inf, np.nan])
 def test_uniform_scaling_rejects_nonpositive_dt(sphere, dt):
-    with pytest.raises(ValueError, match="dt must be positive"):
+    # and a dt that is not finite: inf returned one point, nan failed in
+    # int(round(T / dt))
+    with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
         uniform_scaling_flow(sphere.structure, [0.2, 0.1], 0.4, T=0.1, dt=dt)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.inf, np.nan])
+def test_step_rejects_dt_not_positive_and_finite(conformal, dt):
+    # dt inf and nan were halved six times and ended in a FlowError
+    st = make_state(conformal, N=8, NT=16)
+    with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+        step(st, dt)
 
 
 def test_riemannian_invariance_under_flow(conformal):

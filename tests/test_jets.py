@@ -198,9 +198,63 @@ def test_truncated_product_matches_full_triplet_loop():
     # sums keep the common box too; different variable counts still clash
     s = Jet(spec, A, 1, 4) + Jet(spec, B, 2, 2)
     assert np.array_equal(s.c, (A + B[:, None])[box])
+    # only one operand stored past the common valid box: it alone is cut
+    sub = jet_spec(2, 1, 2, 2)
+    for lead in ((), (5,)):
+        A = rng.normal(size=(spec.ncoeff,) + lead)
+        B = rng.normal(size=(spec.ncoeff,) + lead)
+        a, b = Jet(spec, A, 1, 4), Jet(sub, B[box], 2, 2)
+        assert (a.spec.border, a.spec.forder, b.spec.border, b.spec.forder) == (1, 4, 1, 2)
+        for left, right, L, R in ((a, b, A, B), (b, a, B, A)):
+            want = np.zeros((spec.ncoeff,) + lead)
+            for i, j, k in spec.mul_triplets:
+                want[k] = want[k] + L[i] * R[j]
+            got = left * right
+            assert (got.bvalid, got.fvalid) == (1, 2) and got.spec is sub
+            assert np.array_equal(got.c, want[box])
+        s = a + b
+        assert (s.bvalid, s.fvalid) == (1, 2) and s.spec is sub
+        assert np.array_equal(s.c, (A + B)[box])
     _, (yf, _) = vars_at([0, 0], [1.0, 1.0], border=0, forder=3)
     with pytest.raises(ValueError, match="spec mismatch"):
         _ = a + yf
+
+
+def test_equal_leads_build_one_jet_without_broadcast(monkeypatch):
+    # Operands with the same leading shape are read in place: a product or a
+    # sum of two jets builds no broadcast view and no jet but its result,
+    # also where it cuts an operand stored past the common valid box.
+    calls = {"broadcast_to": 0, "Jet": 0}
+    broadcast_to, post_init = np.broadcast_to, Jet.__post_init__
+
+    def counting_broadcast_to(*args, **kwargs):
+        calls["broadcast_to"] += 1
+        return broadcast_to(*args, **kwargs)
+
+    def counting_post_init(self):
+        calls["Jet"] += 1
+        post_init(self)
+
+    spec = jet_spec(2, 2, 2, 4)
+    rng = np.random.default_rng(13)
+    for lead in ((), (5,)):
+        a = Jet(spec, rng.normal(size=(spec.ncoeff,) + lead), 2, 4)
+        b = Jet(spec, rng.normal(size=(spec.ncoeff,) + lead), 2, 4)
+        cut = Jet(spec, rng.normal(size=(spec.ncoeff,) + lead), 1, 2)
+        for left, right in ((a, b), (a, cut), (cut, b)):
+            for op in (lambda p, q: p * q, lambda p, q: p + q, lambda p, q: p - q):
+                with monkeypatch.context() as m:
+                    m.setattr(np, "broadcast_to", counting_broadcast_to)
+                    m.setattr(Jet, "__post_init__", counting_post_init)
+                    calls.update(broadcast_to=0, Jet=0)
+                    op(left, right)
+                    assert calls == {"broadcast_to": 0, "Jet": 1}
+    # leads that differ are broadcast, one view per operand
+    with monkeypatch.context() as m:
+        m.setattr(np, "broadcast_to", counting_broadcast_to)
+        calls.update(broadcast_to=0)
+        _ = a * Jet(spec, rng.normal(size=(spec.ncoeff, 3, 5)), 2, 4)
+        assert calls["broadcast_to"] == 2
 
 
 def test_derivatives_shrink_the_stored_box():
