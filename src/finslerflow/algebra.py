@@ -11,20 +11,18 @@ and ``fT[..., idx, m] = d T_idx / dy^m``.  The structures are 2-dimensional.
 
 Index contractions go through :func:`contract`, which takes ``einsum``'s
 ``'...'`` subscripts and sums products of component planes: on many 2 x 2
-blocks ``einsum`` costs several times the arithmetic.  The spray ``G``,
-:func:`spray_trace` and the jet ``Q`` keep their ``einsum`` forms,
-:func:`gem_gap` and the grid ``tilde`` are written out by component, and
-:mod:`finslerflow.oracles` stays on ``np.einsum`` so that its cross-checks
-share no code with this one.
+blocks ``einsum`` costs several times the arithmetic.  The spray ``G`` and
+:func:`spray_trace` keep their ``einsum`` forms, :func:`gem_gap` and the
+grid ``tilde`` are written out by component, and :mod:`finslerflow.oracles`
+stays on ``np.einsum`` so that its cross-checks share no code with this one.
 
 H(u,u), Htilde_ij and Htilde are read off the spray trace
-R^k_k = H_rs y^r y^s on both engines; the hh-curvature and Ricci tensor are
-kept for the pointwise bundle, whose jet ``Q`` feeds ``tilde``.  The grid
-overrides ``g``, ``min_eig_field``, ``rho``, ``ricci_scalar``, ``huu`` and
-``h_tilde`` with their closed forms on a surface, and reads its GEM gap in
-closed form too (see :mod:`finslerflow.fields`); :func:`spray_trace`,
-:func:`gem_gap` and :func:`min_eig` serve the jets and are the tests'
-references for the grid's forms.
+R^k_k = H_rs y^r y^s on both engines; the hh-curvature and Ricci tensor
+serve the pointwise bundle's ``H`` and ``H_ij`` and the tests.  The grid
+overrides ``g``, ``min_eig_field``, ``rho``, ``ricci_scalar``, ``huu``,
+``h_tilde`` and ``Q`` with closed forms on a surface, GEM gap included
+(see :mod:`finslerflow.fields`); :func:`spray_trace`, :func:`gem_gap` and
+:func:`min_eig` serve the jets and are the tests' references for them.
 """
 
 from __future__ import annotations
@@ -124,9 +122,9 @@ class ConnectionStack:
     * ``values(T)``, ``base_values(T)``: T and ``base(T)`` as float arrays;
     * ``tilde(q)``: 1/2 d^2 q / dy^i dy^j of a 2-homogeneous scalar, as floats.
 
-    Jets keep every quantity up to ``ricci`` (and ``Q``), and ``p``, as
-    jets; ``gamma``, ``Gamma``, ``mean_cartan``, ``rho`` and the scalars are
-    float arrays on either engine.
+    Jets keep every quantity up to ``ricci``, and ``Q`` and ``p``, as jets;
+    ``gamma``, ``Gamma``, ``mean_cartan``, ``rho``, ``ricci_scalar`` and the
+    other scalars are float arrays on either engine.
     """
 
     def _get(self, key, builder):
@@ -277,22 +275,20 @@ class ConnectionStack:
         """Akbar-Zadeh Ricci H_ij = g^{ks} H_ikjs."""
         return self._get("ricci", lambda: ricci(self.g, self.ginv, self.hh))
 
+    def _spray_trace(self, read, dread):
+        """R^k_k of the spray stack, each array read by ``read`` and its d/dx by ``dread``."""
+        G, Gj = self.G, self.Gj
+        return spray_trace(read(self.y), read(G), dread(G), read(Gj), dread(Gj), read(self.Gjk))
+
     @property
     def Q(self):
-        """H_rs y^r y^s (2-homogeneous scalar), the argument of ``tilde``."""
-        y = self.y
-        return self._get("Q", lambda: np.einsum("...ij,...i,...j->...", self.ricci, y, y))
+        """H_rs y^r y^s = R^k_k, a 2-homogeneous scalar (jets on jets): ``tilde``'s argument."""
+        return self._get("Q", lambda: self._spray_trace(lambda T: T, self.base))
 
     @property
     def ricci_scalar(self):
-        """Trace R^k_k of the spray curvature, which equals H_rs y^r y^s."""
-        def build():
-            G, Gj = self.G, self.Gj
-            return spray_trace(
-                self.values(self.y), self.values(G), self.base_values(G),
-                self.values(Gj), self.base_values(Gj), self.values(self.Gjk),
-            )
-        return self._get("ricci_scalar", build)
+        """Trace R^k_k of the spray curvature, which equals H_rs y^r y^s, as floats."""
+        return self._get("ricci_scalar", lambda: self._spray_trace(self.values, self.base_values))
 
     @property
     def ricci_tilde(self):

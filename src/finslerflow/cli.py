@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__
 from .flow import STEPPERS, FlowDiagnostics, FlowError, encode_state, run_flow
-from .grids import BASE_MODES, GridError, build_grid
-from .structures import SingularMetricError, validate_structure
+from .grids import BASE_MODES, build_grid
+from .structures import check_at_least_1, check_positive_finite, validate_structure
 from .zoo import get_entry, list_entries
 
 EXIT_OK = 0
@@ -154,8 +154,7 @@ def cmd_validate(args) -> int:
 def cmd_report(args) -> int:
     from .curvature import curvature_bundle, gem_residual
 
-    if args.n_theta < 1:
-        raise UsageError(f"--n-theta must be at least 1, got {args.n_theta}")
+    check_at_least_1("--n-theta", args.n_theta)
     entry = _metric(args)
     fs = entry.structure
     x = np.asarray(_parse_floats(args.x, fs.n))
@@ -250,11 +249,11 @@ def cmd_flow(args) -> int:
     # checked before anything is written; --checkpoint-every and --dt may be unset
     for flag, value in (("--gem-stride", args.gem_stride), ("--steps", args.steps),
                         ("--checkpoint-every", args.checkpoint_every)):
-        if value is not None and value < 1:
-            raise UsageError(f"{flag} must be at least 1, got {value}")
+        if value is not None:
+            check_at_least_1(flag, value)
     for flag, value in (("--dt", args.dt), ("--safety", args.safety)):
-        if value is not None and not 0 < value < np.inf:
-            raise UsageError(f"{flag} must be positive and finite, got {value}")
+        if value is not None:
+            check_positive_finite(flag, value)
     state = encode_state(
         entry.structure,
         bgrid,
@@ -375,13 +374,10 @@ def main(argv=None) -> int:
                 return EXIT_USAGE
             return EXIT_OK
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, KeyError) as exc:  # GridError is a ValueError
         _error_record(EXIT_USAGE, str(exc))
         return EXIT_USAGE
-    except (GridError, ValueError, KeyError) as exc:
-        _error_record(EXIT_USAGE, str(exc))
-        return EXIT_USAGE
-    except (FlowError, SingularMetricError, ArithmeticError) as exc:
+    except (FlowError, ArithmeticError) as exc:  # SingularMetricError is an ArithmeticError
         _error_record(EXIT_NUMERICAL, str(exc))
         return EXIT_NUMERICAL
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import algebra
 from .jets import Jet, sqrt_
-from .structures import DomainError, FinslerStructure, f2_jets
+from .structures import DomainError, FinslerStructure, check_positive_finite, f2_jets
 
 __all__ = [
     "PointAssembly",
@@ -181,24 +181,27 @@ def _rk4(f: Callable, y, dt: float, k1):
     return _rk4_update(y, dt, k1, *_rk4_stages(f, y, dt, k1))
 
 
+def _rk4_steps(T: float, dt: float) -> int:
+    """The number of fixed steps dt that span [0, T]; raises unless dt and T are valid."""
+    check_positive_finite("dt", dt)
+    if not 0 <= T < np.inf:
+        raise ValueError(f"T must be non-negative and finite, got {T}")
+    return int(round(T / dt))
+
+
 def geodesic_integrate(fs: FinslerStructure, x0, y0, T: float, dt: float) -> GeodesicPath:
     """Integrate x'' + 2G(x, x') = 0 with classical RK4 at fixed step, on z = (x, x').
 
     If the path, or one of its RK stages, leaves a non-periodic chart the
     result is truncated and flagged (``complete = False``).
     """
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not 0 <= T < np.inf:
-        raise ValueError(f"T must be non-negative and finite, got {T}")
-
     def f(z):
         return np.concatenate([z[2:], -2.0 * spray(fs, z[:2], z[2:])])
 
     z = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
     zs = [z]
     complete = True
-    for _ in range(int(round(T / dt))):
+    for _ in range(_rk4_steps(T, dt)):  # checks T and dt before the first step
         k1 = f(z)
         try:  # k1 ran at x, so a DomainError here means a stage left the chart
             z = _rk4(f, z, dt, k1)

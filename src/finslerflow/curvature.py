@@ -21,7 +21,7 @@ import numpy as np
 
 from . import algebra, workers
 from .connections import PointAssembly
-from .structures import FinslerStructure
+from .structures import FinslerStructure, check_at_least_1
 
 __all__ = [
     "CurvatureBundle",
@@ -50,7 +50,9 @@ class CurvatureBundle:
 
 def curvature_bundle(fs: FinslerStructure, x, y, c_fun=None) -> CurvatureBundle:
     """Full curvature stack at (x, y); x, y shaped (..., n)."""
-    pa = PointAssembly(fs, x, y, forder=7, border=2)
+    # Htilde_ij = 1/2 d^2 R^k_k / dy dy, and R^k_k is valid to fiber order forder - 4: order 6.
+    # H and H_ij need 5; order 7 fed only the contraction H_ij y y, which needs hh 2 deeper.
+    pa = PointAssembly(fs, x, y, forder=6, border=2)
     return CurvatureBundle(
         g=pa.values(pa.g), ginv=pa.values(pa.ginv), H=pa.values(pa.hh), ricci=pa.values(pa.ricci),
         ricci_tilde=pa.ricci_tilde, huu=pa.huu, h_tilde=pa.h_tilde, h_hat=pa.h_hat(c_fun),
@@ -137,8 +139,7 @@ def gem_residual(fs: FinslerStructure, x, n_theta: int = 64) -> float:
     Zero (to numerical precision) exactly on generalized Einstein metrics.
     Raises ``ValueError`` unless ``n_theta`` is at least 1.
     """
-    if n_theta < 1:
-        raise ValueError(f"n_theta must be at least 1, got {n_theta}")
+    check_at_least_1("n_theta", n_theta)
     x = np.asarray(x, dtype=float)
     th = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     y = np.stack([np.cos(th), np.sin(th)], axis=-1)

@@ -65,7 +65,7 @@ from .grids import (
     BaseGrid, FiberGrid, GridError, _fd4_padded, _spectral, _wrap_rows, base_derivative,
     check_base_mode,
 )
-from .structures import FinslerStructure
+from .structures import FinslerStructure, check_at_least_1
 
 __all__ = [
     "GridStructure",
@@ -496,18 +496,12 @@ class GridStructure(algebra.ConnectionStack):
 
     @property
     def Q(self) -> np.ndarray:
-        """H_rs y^r y^s, read as the spray trace R^k_k.
-
-        The Berwald-curvature identity H_rs y^r y^s = R^k_k (checked in the
-        test suite against the H_ij contraction) lets ``ricci_tilde``,
-        ``h_tilde`` and ``h_hat`` skip the 4-index hh field.
-        """
+        """H_rs y^r y^s = R^k_k, read in closed form (``ricci_scalar``) as jets read it off G."""
         return self.ricci_scalar
 
     def gem_residual(self, stride: int = 1) -> float:
         """Sup over (sub-sampled) base nodes and the full fiber."""
-        if stride < 1:
-            raise ValueError(f"gem stride must be at least 1, got {stride}")
+        check_at_least_1("gem stride", stride)
         return float(np.max(self.gem_field[::stride, ::stride, :]))
 
     @property

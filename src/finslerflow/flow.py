@@ -26,10 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .connections import _rk4, _rk4_stages, _rk4_update
+from .connections import _rk4, _rk4_stages, _rk4_steps, _rk4_update
 from .fields import GridStructure, sample_logF
 from .grids import BaseGrid, FiberGrid, GridError, check_base_mode
-from .structures import FinslerStructure, SingularMetricError
+from .structures import (
+    FinslerStructure, SingularMetricError, check_at_least_1, check_positive_finite,
+)
 
 __all__ = [
     "FlowState",
@@ -99,8 +101,7 @@ class FlowState:
         if self.stepper not in STEPPERS:
             raise ValueError(f"stepper must be one of {STEPPERS}, got {self.stepper!r}")
         check_base_mode(self.base_mode)
-        if not 0 < self.safety < np.inf:
-            raise ValueError(f"safety factor must be positive and finite, got {self.safety}")
+        check_positive_finite("safety factor", self.safety)
         if self.fiber_cut is not None and self.fiber_cut < 0:
             raise ValueError(f"fiber_cut must be >= 0 or None, got {self.fiber_cut}")
 
@@ -215,8 +216,7 @@ def step(state: FlowState, dt: float, max_retries: int = 5) -> FlowState:
 
     After ``max_retries`` halvings the ``FlowError`` names the last rejection.
     """
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    check_positive_finite("dt", dt)
     for attempt in range(max_retries + 1):
         try:
             logF1 = _advance(state, dt)
@@ -334,10 +334,10 @@ def run_flow(
     """
     for name, value in (("steps", steps), ("gem_stride", gem_stride),
                         ("checkpoint_every", checkpoint_every)):
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    if dt is not None and not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+        if value is not None:
+            check_at_least_1(name, value)
+    if dt is not None:
+        check_positive_finite("dt", dt)
     rows = []
     failure = detail = None
     k = 0
@@ -380,8 +380,6 @@ def uniform_scaling_flow(
     """
     from .curvature import ricci_directional
 
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
     x0 = np.asarray(x0, dtype=float)
     y0 = np.array([np.cos(theta0), np.sin(theta0)])
 
@@ -397,7 +395,7 @@ def uniform_scaling_flow(
         return -(huu - c) * phi
 
     phis = [1.0]
-    for _ in range(int(round(T / dt))):
+    for _ in range(_rk4_steps(T, dt)):  # checks T and dt before the first step
         phis.append(_rk4(rhs, phis[-1], dt, rhs(phis[-1])))
     return dt * np.arange(len(phis)), np.asarray(phis)
 

@@ -50,6 +50,18 @@ class DomainError(ValueError):
     """A point off the chart, y = 0, or an ``f2`` that cannot be evaluated on jets."""
 
 
+def check_at_least_1(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is at least 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def check_positive_finite(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless 0 < ``value`` < inf; NaN fails."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Chart:
     """Chart metadata: periodic torus, open disk, or plane patch."""

@@ -188,14 +188,25 @@ def test_geodesic_dt_validation(euclidean):
         ff.geodesic_integrate(euclidean.structure, X0, Y0, T=1.0, dt=0.0)
 
 
-@pytest.mark.parametrize("T, dt, message", [
+# the fixed-step integrators share one check of (T, dt)
+_BAD_T_DT = pytest.mark.parametrize("T, dt, message", [
     (1.0, np.inf, "dt must be positive and finite, got inf"),
     (1.0, np.nan, "dt must be positive and finite, got nan"),
     (-1.0, 0.1, "T must be non-negative and finite, got -1.0"),
     (np.inf, 0.1, "T must be non-negative and finite, got inf"),
 ], ids=["dt-inf", "dt-nan", "T-negative", "T-inf"])
+
+
+@_BAD_T_DT
 def test_geodesic_rejects_bad_dt_or_T(euclidean, T, dt, message):
     # dt inf and T -1 returned a one-point path flagged complete; dt nan and
     # T inf failed inside int(round(T / dt)) with messages naming neither
     with pytest.raises(ValueError, match=message):
         ff.geodesic_integrate(euclidean.structure, X0, Y0, T=T, dt=dt)
+
+
+@_BAD_T_DT
+def test_uniform_scaling_rejects_bad_dt_or_T(euclidean, T, dt, message):
+    # T -1 returned a one-point run and T inf raised OverflowError
+    with pytest.raises(ValueError, match=message):
+        ff.uniform_scaling_flow(euclidean.structure, X0, 0.3, T=T, dt=dt)

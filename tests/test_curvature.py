@@ -160,29 +160,42 @@ def test_spray_trace_matches_jet_loop(randers, funk):
     for e in (randers, funk):
         xs, ys = sample_points(e.structure, 16)
         pa = PointAssembly(e.structure, xs, ys, forder=4, border=2)
-        n = pa.n
-        G, Gj, Gjk = pa.G, pa.Gj, pa.Gjk
-        ref = np.zeros(pa.F2.shape)
-        for i in range(n):
-            t = 2.0 * G[i].base_deriv(i)
-            for j in range(n):
-                t = (
-                    t
-                    - pa.y[j] * Gj[i][i].base_deriv(j)
-                    + 2.0 * G[j] * Gjk[i][j][i]
-                    - Gj[i][j] * Gj[j][i]
-                )
-            ref = ref + t.value()
+        Gj, Gjk = pa.Gj, pa.Gjk
+        ref = _spray_trace_jet_loop(pa).value()
         got = pa.ricci_scalar
         # only the summation order differs
         assert np.max(np.abs(got - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref)))
         # the values helper reads each component as its own jet value
         dGj = pa.base_values(Gj)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
+        for i in range(pa.n):
+            for j in range(pa.n):
+                for k in range(pa.n):
                     assert np.array_equal(dGj[..., i, j, k], Gj[i][j].base_deriv(k).value())
                     assert np.array_equal(pa.values(Gjk)[..., i, j, k], Gjk[i][j][k].value())
+
+
+def _spray_trace_jet_loop(pa):
+    """Reference R^k_k as a jet: the spray-curvature trace summed term by term."""
+    n = pa.n
+    G, Gj, Gjk = pa.G, pa.Gj, pa.Gjk
+    Q = None
+    for i in range(n):
+        t = 2.0 * G[i].base_deriv(i)
+        for j in range(n):
+            t = (
+                t
+                - pa.y[j] * Gj[i][i].base_deriv(j)
+                + 2.0 * G[j] * Gjk[i][j][i]
+                - Gj[i][j] * Gj[j][i]
+            )
+        Q = t if Q is None else Q + t
+    return Q
+
+
+def _tilde_jet(pa, Q):
+    """1/2 d^2 Q / dy^i dy^j of a jet Q, as values."""
+    return 0.5 * pa.values([[Q.fiber_deriv(i).fiber_deriv(j) for j in range(pa.n)]
+                            for i in range(pa.n)])
 
 
 def _hh_jet_loop(pa):
@@ -211,8 +224,8 @@ def _hh_jet_loop(pa):
     return H
 
 
-def _ricci_tilde_jet_loop(pa, H):
-    """Reference Htilde_ij = 1/2 d^2 Q / dy^i dy^j with Q = g^{ks} y_r H^r_kjs y^j."""
+def _hh_contraction_jet_loop(pa, H):
+    """H_rs y^r y^s = g^{ks} y_r H^r_kjs y^j as a jet, summed term by term."""
     n = pa.n
     g, gi, ys = pa.g, pa.ginv, pa.y
     ylow = []
@@ -227,19 +240,49 @@ def _ricci_tilde_jet_loop(pa, H):
             for r in range(n):
                 for j in range(n):
                     Q = Q + gi[k][s] * ylow[r] * H[r][k][j][s] * ys[j]
-    return 0.5 * pa.values([[Q.fiber_deriv(i).fiber_deriv(j) for j in range(n)]
-                            for i in range(n)])
+    return Q
 
 
 def test_bundle_matches_jet_loops(randers, funk):
-    """The array algebra on jets agrees with the term-by-term jet loops."""
+    """The array algebra on jets agrees with the term-by-term jet loops of its route."""
+    for e in (randers, funk):
+        xs, ys = sample_points(e.structure, 12)
+        pa = PointAssembly(e.structure, xs, ys, forder=6, border=2)
+        cb = curvature_bundle(e.structure, xs, ys)
+        assert np.max(np.abs(cb.H - pa.values(_hh_jet_loop(pa)))) <= 1e-13
+        rt = _tilde_jet(pa, _spray_trace_jet_loop(pa))
+        assert np.max(np.abs(cb.ricci_tilde - rt)) <= 1e-13
+
+
+def test_htilde_routes_agree_on_jets(randers, funk):
+    """Htilde_ij from R^k_k equals Htilde_ij from the hh contraction H_rs y^r y^s.
+
+    The two routes share only the spray G and its derivatives; on funk-disk's
+    sample points their gap is 6.1e-12, where max |Htilde_ij| is 3.7.
+    """
     for e in (randers, funk):
         xs, ys = sample_points(e.structure, 12)
         pa = PointAssembly(e.structure, xs, ys, forder=7, border=2)
-        H = _hh_jet_loop(pa)
+        hh = _tilde_jet(pa, _hh_contraction_jet_loop(pa, _hh_jet_loop(pa)))
+        assert np.max(np.abs(curvature_bundle(e.structure, xs, ys).ricci_tilde - hh)) <= 1e-11
+
+
+def test_bundle_fiber_order_six(randers, funk, sphere):
+    """Order 6 is the least fiber order for Htilde_ij and loses nothing against 7."""
+    from finslerflow.jets import JetOrderError
+
+    for e in (randers, funk, sphere):
+        xs, ys = sample_points(e.structure, 12)
         cb = curvature_bundle(e.structure, xs, ys)
-        assert np.max(np.abs(cb.H - pa.values(H))) <= 1e-13
-        assert np.max(np.abs(cb.ricci_tilde - _ricci_tilde_jet_loop(pa, H))) <= 1e-13
+        pa = PointAssembly(e.structure, xs, ys, forder=7, border=2)
+        for got, ref in ((cb.g, pa.g), (cb.ginv, pa.ginv), (cb.H, pa.hh), (cb.ricci, pa.ricci)):
+            assert np.array_equal(got, pa.values(ref))
+        assert np.array_equal(cb.huu, pa.huu)
+        pa = PointAssembly(e.structure, xs, ys, forder=6, border=2)
+        pa.ricci_tilde
+        assert "hh" not in pa._cache
+        with pytest.raises(JetOrderError):
+            PointAssembly(e.structure, xs, ys, forder=5, border=2).ricci_tilde
 
 
 def test_singular_metric_reports_min_eigenvalue(funk):

@@ -342,8 +342,8 @@ def test_bundle_assembly_stores_valid_boxes(monkeypatch):
     for j in jets:
         assert j.spec.border <= j.bvalid and j.spec.forder <= j.fvalid
         assert j.c.shape[0] == j.spec.ncoeff
-    # the spray stack sits below the input box: Gjk is valid to (1, 3)
-    assert {(j.bvalid, j.fvalid) for j in pa.Gjk.ravel()} == {(1, 3)}
+    # the spray stack sits below the input box (2, 6): Gjk is valid to (1, 2)
+    assert {(j.bvalid, j.fvalid) for j in pa.Gjk.ravel()} == {(1, 2)}
 
 
 def _dense_product(a, b):
