@@ -18,7 +18,9 @@ import numpy as np
 from . import __version__
 from .flow import STEPPERS, FlowDiagnostics, FlowError, encode_state, run_flow
 from .grids import BASE_MODES, build_grid
-from .structures import check_at_least_1, check_positive_finite, validate_structure
+from .structures import (
+    check_at_least_1, check_finite, check_positive_finite, validate_structure,
+)
 from .zoo import get_entry, list_entries
 
 EXIT_OK = 0
@@ -134,6 +136,9 @@ def cmd_zoo(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    for flag, value in (("--tol", args.tol), ("--tol-positivity", args.tol_positivity)):
+        if not 0 <= value < np.inf:  # false for a NaN
+            raise UsageError(f"{flag} must be finite and non-negative, got {value}")
     entry = _metric(args)
     report = validate_structure(
         entry.structure,
@@ -155,9 +160,14 @@ def cmd_report(args) -> int:
     from .curvature import curvature_bundle, gem_residual
 
     check_at_least_1("--n-theta", args.n_theta)
+    check_finite("--theta", args.theta)
+    if args.c is not None:
+        check_finite("--c", args.c)
     entry = _metric(args)
     fs = entry.structure
     x = np.asarray(_parse_floats(args.x, fs.n))
+    for value in x:
+        check_finite("--x", value)
     if not fs.chart.contains(x):
         raise UsageError(f"--x {args.x} lies outside the chart {fs.chart.describe()}")
     theta = float(args.theta)
@@ -184,6 +194,8 @@ def cmd_functional(args) -> int:
     from .fields import GridStructure
     from .measure import functional_report
 
+    if args.c is not None:
+        check_finite("--c", args.c)
     entry = _metric(args)
     gs = GridStructure(entry.structure, *_grid(args, entry), base_mode=args.base_mode)
     rep = functional_report(gs, c_fun=args.c)
@@ -203,6 +215,7 @@ def cmd_verify_identities(args) -> int:
         variation_residuals,
     )
 
+    check_positive_finite("--t-step", args.t_step)
     entry = _metric(args)
     gs = GridStructure(entry.structure, *_grid(args, entry), base_mode=args.base_mode)
 
@@ -359,11 +372,16 @@ def main(argv=None) -> int:
     try:
         defaults = _load_config_defaults(argv)
         if defaults:
-            # a key applies to the subcommands that declare it
-            declared = {p: {a.dest for a in p._actions} for p in subcommands.values()}
+            # a key applies to the subcommands that declare it; null means
+            # "unset", so it is refused where unset is not the option's default
+            declared = {p: {a.dest: a.default for a in p._actions} for p in subcommands.values()}
             bad = set(defaults).difference(*declared.values())
             if bad:
                 raise UsageError(f"unknown config keys: {sorted(bad)}")
+            null = sorted(k for k, v in defaults.items() if v is None
+                          and any(d.get(k) is not None for d in declared.values()))
+            if null:
+                raise UsageError(f"config keys {null} are null, but their options have defaults")
             for p, dests in declared.items():
                 p.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
         try:

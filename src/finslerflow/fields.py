@@ -128,6 +128,25 @@ def sample_logF(fs: FinslerStructure, bgrid: BaseGrid, fgrid: FiberGrid) -> np.n
     return np.log(np.broadcast_to(F, bgrid.shape + (fgrid.n_theta,)).copy())
 
 
+def _gem_terms(R, R1, h, u1, a, cos2, sin2) -> tuple:
+    """rho times |diagonal|, |symmetric off-diagonal| and |skew| of the GEM
+    mixed tensor g^{ia} Htilde_aj - (Htilde/2) delta^i_j in Cartesian components.
+
+    ``R``, ``R1`` and ``h`` are R^k_k, R' and R''/2; ``u1`` and ``a`` the
+    metric pass's u' and a; ``cos2``, ``sin2`` those of 2 theta.  In the frame
+    the tensor is [[m, p], [q, -m]] / rho with m = ((a - 1) R - R''/2) / 2,
+    p = aR'/2 - u'(R + R''/2) and q = R'/2 - u'R.  Its symmetric part turns
+    by 2 theta into Cartesian components and its skew part (p - q)/2 by
+    nothing; the max over components is not rotation-invariant, so it is
+    taken there: max(diag, off + skew) / rho.
+    """
+    m = 0.5 * ((a - 1.0) * R - h)
+    p = 0.5 * a * R1 - u1 * (R + h)
+    q = 0.5 * R1 - u1 * R
+    k, skew = 0.5 * (p + q), np.abs(0.5 * (p - q))
+    return np.abs(m * cos2 - k * sin2), np.abs(m * sin2 + k * cos2), skew
+
+
 class GridStructure(algebra.ConnectionStack):
     """The connection stack on float fields at y = e(theta), plus grid-only quantities.
 
@@ -359,13 +378,7 @@ class GridStructure(algebra.ConnectionStack):
         g^-1 = [[a, -u'], [-u', 1]] / rho, so
         Htilde = [(2 + u'' + 2u'^2) R - u'R' + R''/2] / rho.  The GEM gap is
         the max over (i, j) of |g^{ia} Htilde_aj - (Htilde/2) delta^i_j| in
-        Cartesian components: in the frame this mixed tensor is
-        [[m, p], [q, -m]] / rho with m = ((a - 1) R - R''/2) / 2,
-        p = aR'/2 - u'(R + R''/2) and q = R'/2 - u'R.  Its symmetric part
-        turns by 2 theta into Cartesian components and its skew part
-        (p - q)/2 by nothing; the max over components is not
-        rotation-invariant, so it is taken there, as
-        max(|M_00|, |M_01| + |skew|) with M_01 the symmetric off-diagonal.
+        Cartesian components, max(diag, off + skew) / rho by ``_gem_terms``.
         """
         def build():
             u1, _, a, _, rho = self._metric[:5]
@@ -374,16 +387,10 @@ class GridStructure(algebra.ConnectionStack):
 
             def formula(r, ht, gem):
                 R0, u, ar, rh = R[r], u1[r], a[r], rho[r]
-                c2, s2 = cos_sin_2[:, : r.stop - r.start]
                 R1, R2 = _dtheta(R0, (1, 2))
                 h = 0.5 * R2
                 np.divide((1.0 + ar) * R0 - u * R1 + h, rh, out=ht)
-                m = 0.5 * ((ar - 1.0) * R0 - h)
-                p = 0.5 * ar * R1 - u * (R0 + h)
-                q = 0.5 * R1 - u * R0
-                k, skew = 0.5 * (p + q), np.abs(0.5 * (p - q))
-                diag = np.abs(m * c2 - k * s2)
-                off = np.abs(m * s2 + k * c2)
+                diag, off, skew = _gem_terms(R0, R1, h, u, ar, *cos_sin_2[:, : r.stop - r.start])
                 np.divide(np.maximum(diag, off + skew), rh, out=gem)
                 return (np.sum(ht * rh),)
             return self.slabwise(formula, 2, 1)

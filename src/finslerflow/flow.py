@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .connections import _rk4, _rk4_stages, _rk4_steps, _rk4_update
-from .fields import GridStructure, sample_logF
+from .fields import GridStructure, _gem_terms, sample_logF, theta_derivative
 from .grids import BaseGrid, FiberGrid, GridError, check_base_mode
 from .structures import (
     FinslerStructure, SingularMetricError, check_at_least_1, check_positive_finite,
@@ -284,12 +284,20 @@ def tensor_flow_gap(state: FlowState) -> float:
     """Max metric-normalized gap between the two tensor-level flow drivers.
 
     Compares -Htilde_ij (4th-order driver) with -H(u,u) g_ij (the conformal
-    gradient driver whose scalar form this engine integrates).
+    gradient driver whose scalar form this engine integrates): the max over
+    (i, j) of |g^{ia} Htilde_aj - H(u,u) delta^i_j|.  That mixed tensor is
+    the GEM one plus t I with t = Htilde/2 - H(u,u), so in Cartesian
+    components its max is max(|t| rho + diag, off + skew) / rho, with the
+    GEM gap's terms (``fields._gem_terms``) read in the frame.
     """
     gs = state.grid_structure()
-    gap = gs.ricci_tilde - gs.huu[..., None, None] * gs.g
-    mixed = np.einsum("...ia,...aj->...ij", gs.ginv, gap)
-    return float(np.max(np.abs(mixed)))
+    u1, _, a, _, rho = gs._metric[:5]
+    R = gs.ricci_scalar
+    R1, R2 = theta_derivative(R, (1, 2))
+    diag, off, skew = _gem_terms(R, R1, 0.5 * R2, u1, a,
+                                np.cos(2.0 * gs.thetas), np.sin(2.0 * gs.thetas))
+    t = 0.5 * gs.h_tilde - gs.huu
+    return float(np.max(np.maximum(np.abs(t) * rho + diag, off + skew) / rho))
 
 
 @dataclass

@@ -34,6 +34,10 @@ operand to their common valid box, copying coefficients only where the
 stored box exceeds it, and broadcasts leading shapes only where they
 differ.  At one point a product is a few dozen small numpy calls, so its
 cost is their per-call overhead, not arithmetic.
+
+A :class:`JetSpec` addresses a monomial by one mixed-radix key of its
+exponents, from which it builds the index maps of smaller boxes and of
+derivatives, and each product plan, when a jet first asks for it.
 """
 
 from __future__ import annotations
@@ -100,6 +104,10 @@ class JetSpec:
     Instances are cached; construct through :func:`jet_spec`.  Monomials are
     ordered base-major, each part by (total degree, exponents), so the spec
     of any smaller box orders its monomials as the restriction of this order.
+    A monomial's address is its mixed-radix key, the exponents as digits of
+    radix border+1 (base) and forder+1 (fiber), and ``_slot`` maps a key to
+    its position.  No exponent in the box reaches its radix, so a smaller
+    box's monomial has its key here, and a product's key is its factors' sum.
     """
 
     def __init__(self, nbase: int, border: int, nfiber: int, forder: int):
@@ -115,37 +123,14 @@ class JetSpec:
 
         # flat monomial -> (base multi-index, fiber multi-index)
         self.mons = [(bm, fm) for bm in self.bmons for fm in self.fmons]
-        self._midx = {m: i for i, m in enumerate(self.mons)}
-
-        # multiplication triplets c[k] += a[i]*b[j], i-major.  For a fixed i
-        # the k's are distinct, so a group (i, js, ks) can be applied in one
-        # fancy-indexed update without changing any summation order.  In a
-        # kept pair no exponent exceeds its order, so with mixed-radix keys
-        # (radix border+1 for base exponents, forder+1 for fiber ones) the
-        # key of the product monomial is the sum of its factors' keys.
+        self.factorials = np.array(
+            [math.prod(map(math.factorial, bm + fm)) for bm, fm in self.mons], dtype=float
+        )
         radix = [border + 1] * nbase + [forder + 1] * nfiber
-        exps = np.array([bm + fm for bm, fm in self.mons], dtype=np.int64)
-        keys = exps @ np.cumprod([1] + radix[:-1])
-        bdeg, fdeg = exps[:, :nbase].sum(axis=1), exps[:, nbase:].sum(axis=1)
-        keep = (bdeg[:, None] + bdeg <= border) & (fdeg[:, None] + fdeg <= forder)
-        slot = np.full(math.prod(radix), -1, dtype=np.int64)
-        slot[keys] = np.arange(self.ncoeff)
-        ii, jj = np.nonzero(keep)
-        kk = slot[keys[ii] + keys[jj]]
-        self.mul_triplets = list(zip(ii.tolist(), jj.tolist(), kk.tolist()))
-        # every i has a group: the constant monomial j = 0 pairs with it
-        ends = np.cumsum(keep.sum(axis=1)).tolist()
-        self.mul_groups = [
-            (i, jj[s:e], kk[s:e]) for i, (s, e) in enumerate(zip([0] + ends[:-1], ends))
-        ]
-
-        fact = []
-        for bm, fm in self.mons:
-            f = 1.0
-            for a in bm + fm:
-                f *= math.factorial(a)
-            fact.append(f)
-        self.factorials = np.asarray(fact)
+        self._exps = np.array([bm + fm for bm, fm in self.mons], dtype=np.int64)
+        self._place = np.cumprod([1] + radix[:-1])
+        self._slot = np.full(math.prod(radix), -1, dtype=np.int64)
+        self._slot[self._exps @ self._place] = np.arange(self.ncoeff)
         self._boxes: dict = {}
         self._dmaps: dict = {}
         self._plans: dict = {}
@@ -157,41 +142,48 @@ class JetSpec:
             if border > self.border or forder > self.forder:
                 raise ValueError(f"box ({border},{forder}) exceeds {self!r}")
             sub = jet_spec(self.nbase, border, self.nfiber, forder)
-            self._boxes[key] = (
-                sub, np.asarray([self._midx[m] for m in sub.mons], dtype=np.int64)
-            )
+            self._boxes[key] = (sub, self._slot[sub._exps @ self._place])
         return self._boxes[key]
 
     def mul_plan(self, sa: tuple[int, int], sb: tuple[int, int]):
         """(spec, triplets, groups) of a product valid here, its operands stored on ``sa``, ``sb``.
 
-        These are this spec's triplets and groups with both factors inside
-        the stored boxes, in the same i-major order, with indices local to
-        the operands' boxes and to the product's box ``spec``; every dropped
-        term has an exactly zero factor.
+        A triplet (i, j, k) adds a[i] * b[j] to c[k], for each i of the ``sa``
+        box and j of the ``sb`` box whose product stays in this spec's box,
+        i-major and each in its box's order: the whole-box triplets with both
+        factors in the stored boxes, in the same order, so every dropped term
+        has an exactly zero factor.  Indices are local to the operands' boxes
+        and to the product's box ``spec``.  A group (i, js, ks) holds one i's
+        pairs; its k's are distinct, so it applies in one fancy-indexed
+        update without changing any summation order.
         """
         key = (sa, sb)
         if key not in self._plans:
-            so = (min(sa[0] + sb[0], self.border), min(sa[1] + sb[1], self.forder))
-            la, lb, lo = (self._local(*box) for box in (sa, sb, so))
-            trip = np.asarray(self.mul_triplets, dtype=np.int64).reshape(-1, 3)
-            ii, jj, kk = trip[(la[trip[:, 0]] >= 0) & (lb[trip[:, 1]] >= 0)].T
-            triplets = list(zip(la[ii].tolist(), lb[jj].tolist(), lo[kk].tolist()))
-            groups = []
-            for i, js, ks in self.mul_groups:
-                keep = lb[js] >= 0
-                if la[i] >= 0 and keep.any():
-                    groups.append((int(la[i]), lb[js[keep]], lo[ks[keep]]))
-            spec = jet_spec(self.nbase, so[0], self.nfiber, so[1])
+            n = self.nbase
+            a, b = (jet_spec(n, bo, self.nfiber, fo) for bo, fo in (sa, sb))
+            spec = jet_spec(n, min(sa[0] + sb[0], self.border), self.nfiber,
+                            min(sa[1] + sb[1], self.forder))
+            (ab, af), (bb, bf) = ((e[:, :n].sum(axis=1), e[:, n:].sum(axis=1))
+                                  for e in (a._exps, b._exps))
+            keep = (ab[:, None] + bb <= self.border) & (af[:, None] + bf <= self.forder)
+            ii, jj = np.nonzero(keep)
+            kk = spec._slot[(a._exps @ spec._place)[ii] + (b._exps @ spec._place)[jj]]
+            triplets = list(zip(ii.tolist(), jj.tolist(), kk.tolist()))
+            ends = np.cumsum(keep.sum(axis=1)).tolist()
+            groups = [(i, jj[s:e], kk[s:e])
+                      for i, (s, e) in enumerate(zip([0] + ends[:-1], ends)) if e > s]
             self._plans[key] = (spec, triplets, groups)
         return self._plans[key]
 
-    def _local(self, border: int, forder: int) -> np.ndarray:
-        """Index of each monomial here within the (border, forder) box, -1 outside it."""
-        sub, idx = self.box(border, forder)
-        local = np.full(self.ncoeff, -1, dtype=np.int64)
-        local[idx] = np.arange(sub.ncoeff)
-        return local
+    @property
+    def mul_triplets(self) -> list[tuple[int, int, int]]:
+        """The whole box's product triplets (``mul_plan`` of two whole-box operands)."""
+        return self.mul_plan((self.border, self.forder), (self.border, self.forder))[1]
+
+    @property
+    def mul_groups(self) -> list:
+        """The whole box's product groups (``mul_plan`` of two whole-box operands)."""
+        return self.mul_plan((self.border, self.forder), (self.border, self.forder))[2]
 
     def dmap(self, var: int, base: bool) -> tuple["JetSpec", np.ndarray, np.ndarray]:
         """(spec, src, factor) of d/dx_var (``base``) or d/dy_var.
@@ -204,17 +196,18 @@ class JetSpec:
         if key not in self._dmaps:
             sub = jet_spec(self.nbase, self.border - base, self.nfiber,
                            self.forder - (not base))
-            src, fac = [], []
-            for bm, fm in sub.mons:
-                mon = bm if base else fm
-                up = tuple(a + (t == var) for t, a in enumerate(mon))
-                src.append(self._midx[(up, fm) if base else (bm, up)])
-                fac.append(float(mon[var] + 1))
-            self._dmaps[key] = (sub, np.asarray(src, dtype=np.int64), np.asarray(fac))
+            col = var if base else self.nbase + var
+            up = sub._exps.copy()
+            up[:, col] += 1
+            self._dmaps[key] = (sub, self._slot[up @ self._place], sub._exps[:, col] + 1.0)
         return self._dmaps[key]
 
     def index(self, bmon: tuple[int, ...], fmon: tuple[int, ...]) -> int:
-        return self._midx[(bmon, fmon)]
+        """Position of the monomial (bmon, fmon); ``LookupError`` unless it lies in this box."""
+        k = int(self._slot[np.dot((*bmon, *fmon), self._place)])
+        if self.mons[k] != (tuple(bmon), tuple(fmon)):
+            raise KeyError(f"monomial {bmon}+{fmon} is not in {self!r}")
+        return k
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (

@@ -56,6 +56,12 @@ def check_at_least_1(name: str, value) -> None:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
+def check_finite(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless -inf < ``value`` < inf; NaN fails."""
+    if not -np.inf < value < np.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def check_positive_finite(name: str, value) -> None:
     """Raise ``ValueError`` naming ``name`` unless 0 < ``value`` < inf; NaN fails."""
     if not 0 < value < np.inf:

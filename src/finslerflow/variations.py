@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import contract
 from .fields import GridStructure, horizontal_cov_deriv
 from .measure import global_inner, pair_inner
-from .structures import FinslerStructure
+from .structures import FinslerStructure, check_positive_finite
 
 __all__ = [
     "membership_residuals",
@@ -198,7 +198,8 @@ def randers_family(
 
 def _centred(family: MetricFamily, gs0: GridStructure, t_step: float):
     """The family's grid structures at t = +t_step, -t_step and h = dg_t/dt by
-    centered differencing of their metrics."""
+    centered differencing of their metrics; raises unless t_step is positive and finite."""
+    check_positive_finite("t_step", t_step)
     gp = GridStructure(family.structure(+t_step), gs0.bgrid, gs0.fgrid, gs0.base_mode)
     gm = GridStructure(family.structure(-t_step), gs0.bgrid, gs0.fgrid, gs0.base_mode)
     return gp, gm, (gp.g - gm.g) / (2.0 * t_step)
@@ -207,7 +208,10 @@ def _centred(family: MetricFamily, gs0: GridStructure, t_step: float):
 def family_variation(
     family: MetricFamily, gs0: GridStructure, t_step: float = 1e-4
 ) -> np.ndarray:
-    """h = d g_t / dt |_0 by centered differencing of the family metric."""
+    """h = d g_t / dt |_0 by centered differencing of the family metric.
+
+    Raises ``ValueError`` unless ``t_step`` is positive and finite.
+    """
     return _centred(family, gs0, t_step)[2]
 
 
@@ -242,6 +246,8 @@ def variation_residuals(
     (c) dG^i_k/dt against the covariant-derivative expression (with the spray
         variation G'^s itself taken by centered differences);
     (d) for conformal families (``k_fun`` set), dI/dt against int H(u,u) tr_g(h) eta.
+
+    Raises ``ValueError`` unless ``t_step`` is positive and finite.
     """
     rep = VariationReport()
     n = 2

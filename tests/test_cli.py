@@ -346,3 +346,48 @@ def test_verify_identities_failure_error_record(capsys):
     assert list(rec["detail"]) == ["conformal-path: conformal dI/dt"]
     assert rec["detail"]["conformal-path: conformal dI/dt"] > 1e-2
     assert json.loads(out)["conformal-path: conformal dI/dt"] > 1e-2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("functional", "--metric", "conformal-torus", "--grid", "16,16,16", "--c", "nan"), "--c"),
+    (("functional", "--metric", "conformal-torus", "--grid", "16,16,16", "--c=-inf"), "--c"),
+    (("report", "--metric", "funk-disk", "--x", "0.2,0.1", "--theta", "0.7", "--c", "inf"),
+     "--c"),
+    (("report", "--metric", "funk-disk", "--x", "0.2,0.1", "--theta", "nan"), "--theta"),
+    (("report", "--metric", "randers-torus", "--x", "nan,0.1", "--theta", "0.7"), "--x"),
+    (("verify-identities", "--metric", "euclidean", "--grid", "16,16,16", "--t-step", "0"),
+     "--t-step"),
+    (("verify-identities", "--metric", "euclidean", "--grid", "16,16,16", "--t-step", "nan"),
+     "--t-step"),
+    (("validate", "--metric", "funk-disk", "--tol", "nan"), "--tol"),
+    (("validate", "--metric", "funk-disk", "--tol=-1e-8"), "--tol"),
+    (("validate", "--metric", "funk-disk", "--tol-positivity", "inf"), "--tol-positivity"),
+])
+def test_non_finite_float_exit_2_writes_nothing(capsys, tmp_path, argv, flag):
+    # functional printed "I": NaN (not JSON) and report "H_hat": Infinity; report
+    # --theta nan exited 1 as a singular metric, --t-step 0 as a division by
+    # zero, and --tol nan failed every validity check
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    assert code == 2 and out == ""
+    (rec,) = json_lines(err)
+    assert rec["code"] == 2 and rec["error"].startswith(flag + " ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("config", [{"safety": None}, {"gem_stride": None}])
+def test_config_null_for_option_with_default_exit_2(capsys, tmp_path, config):
+    # both ended in a TypeError traceback; null still unsets --dt and the like
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metric": "conformal-torus", **config}))
+    out_dir = tmp_path / "run"
+    argv = ["--config", str(cfg), "flow", "--grid", "8,8,16", "--steps", "1"]
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    assert code == 2 and out == ""
+    (rec,) = json_lines(err)
+    assert rec["code"] == 2 and repr(next(iter(config))) in rec["error"]
+    assert not out_dir.exists()
+    cfg.write_text(json.dumps({"metric": "conformal-torus", "dt": None,
+                               "checkpoint_every": None, "fiber_cut": None}))
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out_dir))
+    assert code == 0 and (out_dir / "diagnostics.csv").exists()

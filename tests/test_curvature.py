@@ -285,6 +285,30 @@ def test_bundle_fiber_order_six(randers, funk, sphere):
             PointAssembly(e.structure, xs, ys, forder=5, border=2).ricci_tilde
 
 
+def test_gem_residual_reads_only_htilde_and_g(monkeypatch, randers, funk):
+    """The bundle's gap, bit for bit, from an assembly that builds no H, H_ij or Gjkm."""
+    from finslerflow import algebra, curvature
+
+    made = []
+
+    class Recording(PointAssembly):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    x = np.array([0.3, 0.2])
+    th = np.arange(64) * (2.0 * np.pi / 64)
+    y = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    for e in (randers, funk):
+        cb = curvature_bundle(e.structure, np.broadcast_to(x, (64, 2)), y)
+        want = float(np.max(algebra.gem_gap(cb.ricci_tilde, cb.g, cb.ginv)))
+        with monkeypatch.context() as m:
+            m.setattr(curvature, "PointAssembly", Recording)
+            assert curvature.gem_residual(e.structure, x, n_theta=64) == want
+        pa = made.pop()
+        assert not {"hh", "ricci", "Gjkm"} & set(pa._cache)
+
+
 def test_singular_metric_reports_min_eigenvalue(funk):
     """The metric check raises on the smallest eigenvalue of g, not on det g."""
     from finslerflow.structures import f2_jets

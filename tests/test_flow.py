@@ -725,3 +725,13 @@ def test_checkpoint_bytes_equal_json_dump(tmp_path, conformal):
     assert back.name == 'torus "é"' and back.t == 0.1 and back.fiber_cut == 2
     assert back.logF.tobytes() == st.logF.tobytes()
     assert not (tmp_path / "chk.json.tmp").exists()
+
+
+@pytest.mark.parametrize("base_mode", ["fd4", "spectral"])
+def test_tensor_flow_gap_matches_cartesian_route(randers, base_mode):
+    # read in the frame from the GEM gap's terms; the Cartesian route is the reference
+    st = step(make_state(randers, N=16, NT=32, base_mode=base_mode, fiber_cut=6), 1e-3)
+    gs = st.grid_structure()
+    gap = gs.ricci_tilde - gs.huu[..., None, None] * gs.g
+    want = float(np.max(np.abs(np.einsum("...ia,...aj->...ij", gs.ginv, gap))))
+    assert tensor_flow_gap(st) == pytest.approx(want, rel=1e-13)

@@ -315,6 +315,67 @@ def test_spec_tables_match_double_loop(sig):
         assert np.array_equal(js, wjs) and np.array_equal(ks, wks)
 
 
+def _whole_box_plan_restricted(spec, tables, sa, sb):
+    """A product plan as the whole-box tables restricted to the stored boxes ``sa``, ``sb``."""
+    triplets, groups = tables
+    so = (min(sa[0] + sb[0], spec.border), min(sa[1] + sb[1], spec.forder))
+    pos = {m: i for i, m in enumerate(spec.mons)}
+
+    def local(box):
+        sub = jet_spec(spec.nbase, box[0], spec.nfiber, box[1])
+        out = np.full(spec.ncoeff, -1, dtype=np.int64)
+        out[[pos[m] for m in sub.mons]] = np.arange(sub.ncoeff)
+        return out
+
+    la, lb, lo = local(sa), local(sb), local(so)
+    trip = [(int(la[i]), int(lb[j]), int(lo[k])) for i, j, k in triplets if la[i] >= 0 <= lb[j]]
+    kept = []
+    for i, js, ks in groups:
+        keep = lb[js] >= 0
+        if la[i] >= 0 and keep.any():
+            kept.append((int(la[i]), lb[js[keep]], lo[ks[keep]]))
+    return jet_spec(spec.nbase, so[0], spec.nfiber, so[1]), trip, kept
+
+
+@pytest.mark.parametrize("sig", [(2, 2, 2, 6), (2, 2, 2, 4), (0, 0, 2, 7)])
+def test_plans_and_maps_built_from_keys(sig):
+    from finslerflow.jets import JetSpec
+
+    fresh = JetSpec(*sig)
+    assert fresh._plans == {}
+    assert not hasattr(fresh, "_midx") and not hasattr(JetSpec, "_local")
+    spec = jet_spec(*sig)
+    tables = _double_loop_tables(spec)
+    boxes = [(b, f) for b in range(spec.border + 1) for f in range(spec.forder + 1)]
+    for sa in boxes:
+        for sb in boxes:
+            want_spec, want_trip, want_groups = _whole_box_plan_restricted(spec, tables, sa, sb)
+            got_spec, got_trip, got_groups = spec.mul_plan(sa, sb)
+            assert got_spec is want_spec
+            assert got_trip == want_trip
+            assert all(type(t) is int for trip in got_trip for t in trip)
+            assert len(got_groups) == len(want_groups)
+            for (i, js, ks), (wi, wjs, wks) in zip(got_groups, want_groups):
+                assert i == wi and type(i) is int
+                assert js.dtype == ks.dtype == np.int64
+                assert np.array_equal(js, wjs) and np.array_equal(ks, wks)
+    # index and the derivative maps against a loop over the monomials
+    pos = {m: i for i, m in enumerate(spec.mons)}
+    assert [spec.index(bm, fm) for bm, fm in spec.mons] == list(range(spec.ncoeff))
+    with pytest.raises(LookupError):
+        spec.index((0,) * spec.nbase, (spec.forder + 1,) + (0,) * (spec.nfiber - 1))
+    for base, nvar in ((True, spec.nbase if spec.border else 0), (False, spec.nfiber)):
+        for var in range(nvar):
+            sub, src, fac = spec.dmap(var, base)
+            assert (sub.border, sub.forder) == (spec.border - base, spec.forder - (not base))
+            assert src.dtype == np.int64 and fac.dtype == float
+            for k, (bm, fm) in enumerate(sub.mons):
+                mon = list(bm if base else fm)
+                assert fac[k] == mon[var] + 1
+                mon[var] += 1
+                assert src[k] == pos[(tuple(mon), fm) if base else (bm, tuple(mon))]
+
+
 def test_bundle_assembly_stores_valid_boxes(monkeypatch):
     from finslerflow import curvature
     from finslerflow.zoo import get_entry

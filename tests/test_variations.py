@@ -318,3 +318,12 @@ def test_conformal_dI_general_direction_documented(gs_conf, conformal):
     rep = variation_residuals(fam, gs_conf, t_step=1e-4)
     assert abs(rep.values["dI_dt"]) <= 1e-6  # Gauss-Bonnet keeps I stationary
     assert abs(rep.values["int Huu tr(h)"]) > 0.1  # the closed form does not vanish
+
+
+@pytest.mark.parametrize("t_step", [0.0, -1e-4, float("inf"), float("nan")])
+def test_centred_differences_reject_bad_t_step(gs_flat, euclidean, t_step):
+    # 0 divided by zero with a RuntimeWarning; the others returned wrong numbers
+    fam = conformal_family(euclidean.structure, lambda xs: 0.3 + 0.0 * xs[0])
+    for call in (family_variation, variation_residuals):
+        with pytest.raises(ValueError, match="t_step must be positive and finite"):
+            call(fam, gs_flat, t_step=t_step)
