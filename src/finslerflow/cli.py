@@ -125,6 +125,30 @@ def _load_config_defaults(argv):
     return cfg
 
 
+def _config_value(action, key: str, value):
+    """A config ``value`` through its flag's ``type`` and ``choices``, as a flag would go.
+
+    argparse converts only string defaults, so a config number or list would
+    reach a command unchecked.  A bool, or a float with a fraction for an int
+    flag, is refused rather than converted.
+    """
+    if value is None:
+        return value
+    try:
+        out = value
+        if action.type is not None:
+            if isinstance(value, bool) or (
+                    action.type is int and isinstance(value, float) and not value.is_integer()):
+                raise ValueError(value)
+            out = action.type(value)
+        if action.choices is not None and out not in action.choices:
+            raise ValueError(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"config key {key!r} is not a valid {action.option_strings[0]} "
+                         f"value: {value!r}") from None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -374,16 +398,17 @@ def main(argv=None) -> int:
         if defaults:
             # a key applies to the subcommands that declare it; null means
             # "unset", so it is refused where unset is not the option's default
-            declared = {p: {a.dest: a.default for a in p._actions} for p in subcommands.values()}
+            declared = {p: {a.dest: a for a in p._actions} for p in subcommands.values()}
             bad = set(defaults).difference(*declared.values())
             if bad:
                 raise UsageError(f"unknown config keys: {sorted(bad)}")
             null = sorted(k for k, v in defaults.items() if v is None
-                          and any(d.get(k) is not None for d in declared.values()))
+                          and any(k in d and d[k].default is not None for d in declared.values()))
             if null:
                 raise UsageError(f"config keys {null} are null, but their options have defaults")
-            for p, dests in declared.items():
-                p.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
+            for p, actions in declared.items():
+                p.set_defaults(**{k: _config_value(actions[k], k, v)
+                                  for k, v in defaults.items() if k in actions})
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -54,11 +54,11 @@ class PointAssembly(algebra.ConnectionStack):
 
     def _append(self, jets, diff) -> np.ndarray:
         jets = np.asarray(jets, dtype=object)
-        out = np.empty(jets.shape + (self.n,), dtype=object)
-        for idx in np.ndindex(jets.shape):
+        out = np.empty((jets.size, self.n), dtype=object)
+        for i, jet in enumerate(jets.flat):
             for k in range(self.n):
-                out[idx + (k,)] = diff(jets[idx], k)
-        return out
+                out[i, k] = diff(jet, k)
+        return out.reshape(jets.shape + (self.n,))
 
     def fiber(self, jets, d: int = 0) -> np.ndarray:
         """d/dy^m of each component jet, on a new last axis m (exact for any d)."""
@@ -85,10 +85,10 @@ class PointAssembly(algebra.ConnectionStack):
 
     def _collect(self, jets, read) -> np.ndarray:
         comps = np.asarray(jets, dtype=object)
-        out = np.empty(self.F2.shape + comps.shape)
-        for idx in np.ndindex(comps.shape):
-            out[(...,) + idx] = read(comps[idx])
-        return out
+        out = np.empty(self.F2.shape + (comps.size,))
+        for i, jet in enumerate(comps.flat):
+            out[..., i] = read(jet)
+        return out.reshape(self.F2.shape + comps.shape)
 
     def values(self, jets) -> np.ndarray:
         """Values of an array of jets as one float array, component axes last."""

@@ -77,8 +77,8 @@ def ricci_tensors(fs: FinslerStructure, x, y):
 
 # Points per part of a large ricci_directional batch.  Each part stays far
 # above jets._GROUPED_MAX_POINTS, so it takes the triplet product the whole
-# batch takes; smaller parts lose to the GIL hand-offs between the parts'
-# Python loops.
+# batch takes, not the grouped one (2-511 points) or the one-point bincount;
+# smaller parts lose to the GIL hand-offs between the parts' Python loops.
 _PART_POINTS = 16384
 
 

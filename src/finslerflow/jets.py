@@ -32,12 +32,22 @@ skips exactly the terms with a zero factor, summing the others in the same
 order as a product over the whole valid box.  A sum or product cuts each
 operand to their common valid box, copying coefficients only where the
 stored box exceeds it, and broadcasts leading shapes only where they
-differ.  At one point a product is a few dozen small numpy calls, so its
-cost is their per-call overhead, not arithmetic.
+differ.
+
+A product runs one of three paths by the number of points P in its
+leading shape: at P = 1 one ``np.bincount`` of the gathered products over
+the plan's flat triplet arrays; below ``_GROUPED_MAX_POINTS`` one
+fancy-indexed update per left monomial (a group); above it one
+multiply-add per triplet on contiguous planes.  Each adds a coefficient's
+terms in triplet order starting from 0.0, so the three agree bit for bit.
+A constant added to a jet goes into its value coefficient, and a series
+runs Horner only up to the last power of the nilpotent part that can be
+nonzero (:meth:`Jet._series_orders`).
 
 A :class:`JetSpec` addresses a monomial by one mixed-radix key of its
-exponents, from which it builds the index maps of smaller boxes and of
-derivatives, and each product plan, when a jet first asks for it.
+exponents, from which it builds the index maps of smaller boxes, of
+derivatives and of seeds, and each product plan, when a jet first asks for
+it.
 """
 
 from __future__ import annotations
@@ -80,8 +90,12 @@ def _multi_indices(nvars: int, max_total: int) -> list[tuple[int, ...]]:
     return out
 
 
-# Batches below this many points multiply by whole left-index groups (few
-# large numpy calls); larger batches loop over triplets on contiguous planes.
+# One point multiplies by one bincount; batches below this many points by
+# whole left-index groups (few large numpy calls); larger batches loop over
+# triplets on contiguous planes.  A bincount over a whole lead also keeps the
+# bits, but its temporaries at 64 points raised the peak memory of
+# single-point reports with 64-angle GEM sweeps from 38.6 to 44.5 MB, and
+# above about 256 points it is slower than the groups.
 _GROUPED_MAX_POINTS = 512
 
 
@@ -134,6 +148,10 @@ class JetSpec:
         self._boxes: dict = {}
         self._dmaps: dict = {}
         self._plans: dict = {}
+        self._seeds: dict = {}
+        # (other, bvalid, fvalid) -> the mul_plan of this box times other's, so
+        # that a product finds its plan in one lookup
+        self._products: dict = {}
 
     def box(self, border: int, forder: int) -> tuple["JetSpec", np.ndarray]:
         """The spec of the (border, forder) box and the indices of its monomials here."""
@@ -146,7 +164,7 @@ class JetSpec:
         return self._boxes[key]
 
     def mul_plan(self, sa: tuple[int, int], sb: tuple[int, int]):
-        """(spec, triplets, groups) of a product valid here, its operands stored on ``sa``, ``sb``.
+        """(spec, triplets, groups, (ii, jj, kk)) of a product valid here, on boxes ``sa``, ``sb``.
 
         A triplet (i, j, k) adds a[i] * b[j] to c[k], for each i of the ``sa``
         box and j of the ``sb`` box whose product stays in this spec's box,
@@ -155,7 +173,8 @@ class JetSpec:
         has an exactly zero factor.  Indices are local to the operands' boxes
         and to the product's box ``spec``.  A group (i, js, ks) holds one i's
         pairs; its k's are distinct, so it applies in one fancy-indexed
-        update without changing any summation order.
+        update without changing any summation order.  ``ii``, ``jj``, ``kk``
+        are the triplets' columns as int arrays, for one ``np.bincount``.
         """
         key = (sa, sb)
         if key not in self._plans:
@@ -172,7 +191,7 @@ class JetSpec:
             ends = np.cumsum(keep.sum(axis=1)).tolist()
             groups = [(i, jj[s:e], kk[s:e])
                       for i, (s, e) in enumerate(zip([0] + ends[:-1], ends)) if e > s]
-            self._plans[key] = (spec, triplets, groups)
+            self._plans[key] = (spec, triplets, groups, (ii, jj, kk))
         return self._plans[key]
 
     @property
@@ -184,6 +203,25 @@ class JetSpec:
     def mul_groups(self) -> list:
         """The whole box's product groups (``mul_plan`` of two whole-box operands)."""
         return self.mul_plan((self.border, self.forder), (self.border, self.forder))[2]
+
+    def seed(self, kind: str, var: int) -> tuple["JetSpec", int | None]:
+        """(box, k) of the ``kind`` ('x' or 'y') seed of variable ``var``: its unit slot k in box.
+
+        ``k`` is None where that kind has order 0 and the seed is a constant.
+        """
+        key = (kind, var)
+        if key not in self._seeds:
+            if kind not in ("x", "y"):
+                raise ValueError(f"unknown variable kind {kind!r}")
+            base = kind == "x"
+            sub = self.box(*((min(self.border, 1), 0) if base else (0, min(self.forder, 1))))[0]
+            k = None
+            if sub.ncoeff > 1:
+                unit = tuple(int(t == var) for t in range(self.nbase if base else self.nfiber))
+                zero = (0,) * (self.nfiber if base else self.nbase)
+                k = sub.index(*((unit, zero) if base else (zero, unit)))
+            self._seeds[key] = (sub, k)
+        return self._seeds[key]
 
     def dmap(self, var: int, base: bool) -> tuple["JetSpec", np.ndarray, np.ndarray]:
         """(spec, src, factor) of d/dx_var (``base``) or d/dy_var.
@@ -255,17 +293,12 @@ class Jet:
     @staticmethod
     def variable(spec: JetSpec, kind: str, var: int, value) -> "Jet":
         """Seed jet for a base ('x') or fiber ('y') coordinate, valid on ``spec``'s orders."""
-        if kind not in ("x", "y"):
-            raise ValueError(f"unknown variable kind {kind!r}")
-        base = kind == "x"
-        sub = spec.box(min(spec.border, 1), 0)[0] if base else spec.box(0, min(spec.forder, 1))[0]
+        sub, k = spec.seed(kind, var)
         value = np.asarray(value, dtype=float)
         c = np.zeros((sub.ncoeff,) + value.shape)
         c[0] = value
-        if sub.ncoeff > 1:  # else its kind has order 0 and the seed is a constant
-            unit = tuple(int(t == var) for t in range(spec.nbase if base else spec.nfiber))
-            zero = (0,) * (spec.nfiber if base else spec.nbase)
-            c[sub.index(*((unit, zero) if base else (zero, unit)))] = 1.0
+        if k is not None:
+            c[k] = 1.0
         return Jet(sub, c, spec.border, spec.forder)
 
     # -- inspection ----------------------------------------------------
@@ -316,12 +349,9 @@ class Jet:
         return Jet(spec, self.c[src] * _lift(fac, self.c.ndim - 1), bvalid, fvalid)
 
     # -- arithmetic ----------------------------------------------------
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            if (other.spec.nbase, other.spec.nfiber) != (self.spec.nbase, self.spec.nfiber):
-                raise ValueError("jet spec mismatch")
-            return other
-        return Jet.constant(self.valid_spec, other, self.shape)
+    def _check_vars(self, other: "Jet") -> None:
+        if (other.spec.nbase, other.spec.nfiber) != (self.spec.nbase, self.spec.nfiber):
+            raise ValueError("jet spec mismatch")
 
     def _cut(self, bvalid: int, fvalid: int) -> tuple[JetSpec, np.ndarray]:
         """The stored box and coefficients cut to the (bvalid, fvalid) box; a copy only if cut."""
@@ -332,13 +362,31 @@ class Jet:
 
     def _combine(self, other, op) -> "Jet":
         """``op`` of the coefficients of both operands, zero-padded to the larger stored box."""
-        o = self._coerce(other)
-        bvalid, fvalid = min(self.bvalid, o.bvalid), min(self.fvalid, o.fvalid)
-        (sa, ac), (sb, bc) = self._cut(bvalid, fvalid), o._cut(bvalid, fvalid)
+        if not isinstance(other, Jet):
+            return self._shift(other, op, False)
+        self._check_vars(other)
+        bvalid, fvalid = min(self.bvalid, other.bvalid), min(self.fvalid, other.fvalid)
+        (sa, ac), (sb, bc) = self._cut(bvalid, fvalid), other._cut(bvalid, fvalid)
         spec = jet_spec(sa.nbase, max(sa.border, sb.border), sa.nfiber, max(sa.forder, sb.forder))
         ndim = max(ac.ndim, bc.ndim) - 1
         c = op(_embed(sa, ac, spec, ndim), _embed(sb, bc, spec, ndim))
         return Jet(spec, c, bvalid, fvalid)
+
+    def _shift(self, other, op, flip: bool) -> "Jet":
+        """``op`` of this jet and a constant (its first operand if ``flip``).
+
+        The constant sits in the value coefficient: the others are ``op`` of
+        a coefficient and 0.0, which keeps the bits (signed zeros included)
+        of ``op`` with the constant zero-padded to this jet's box.
+        """
+        v = np.asarray(other, dtype=float)
+        c = self.c
+        if v.ndim and v.shape != self.shape:  # a constant over more points than the jet
+            lead = np.broadcast_shapes(self.shape, v.shape)
+            c = np.broadcast_to(_lift(c, len(lead)), c.shape[:1] + lead)
+        out = op(0.0, c) if flip else op(c, 0.0)
+        out[0] = op(v, c[0]) if flip else op(c[0], v)
+        return Jet(self.spec, out, self.bvalid, self.fvalid)
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -349,8 +397,7 @@ class Jet:
         return self._combine(other, np.subtract)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return o - self
+        return self._shift(other, np.subtract, True)
 
     def __neg__(self):
         return Jet(self.spec, -self.c, self.bvalid, self.fvalid)
@@ -362,19 +409,34 @@ class Jet:
         # The valid spec's triplets restricted to the stored boxes drop only
         # terms with an exactly zero factor and keep the others in order, so
         # each coefficient is summed exactly as a product over the valid box.
-        o = self._coerce(other)
-        bvalid, fvalid = min(self.bvalid, o.bvalid), min(self.fvalid, o.fvalid)
-        (sa, ac), (sb, bc) = self._cut(bvalid, fvalid), o._cut(bvalid, fvalid)
-        plan = jet_spec(sa.nbase, bvalid, sa.nfiber, fvalid).mul_plan
-        spec, triplets, groups = plan((sa.border, sa.forder), (sb.border, sb.forder))
+        # All three paths add each coefficient's terms in triplet order,
+        # starting from 0.0, so they agree bit for bit.
+        self._check_vars(other)
+        # conditional expressions, not min(): at one point each call counts
+        bvalid = self.bvalid if self.bvalid < other.bvalid else other.bvalid
+        fvalid = self.fvalid if self.fvalid < other.fvalid else other.fvalid
+        (sa, ac), (sb, bc) = self._cut(bvalid, fvalid), other._cut(bvalid, fvalid)
+        plan = sa._products.get((sb, bvalid, fvalid))
+        if plan is None:
+            valid = jet_spec(sa.nbase, bvalid, sa.nfiber, fvalid)
+            plan = valid.mul_plan((sa.border, sa.forder), (sb.border, sb.forder))
+            sa._products[sb, bvalid, fvalid] = plan
+        spec, triplets, groups, (ii, jj, kk) = plan
         lead = ac.shape[1:]
         if bc.shape[1:] != lead:
             ndim = max(ac.ndim, bc.ndim) - 1
             ac, bc = _lift(ac, ndim), _lift(bc, ndim)
             lead = np.broadcast_shapes(ac.shape[1:], bc.shape[1:])
             ac, bc = (np.broadcast_to(m, m.shape[:1] + lead) for m in (ac, bc))
+        points = math.prod(lead)
+        if points == 1:
+            # bincount adds each bin's weights in input order, starting from 0.0
+            if lead:  # unit axes: flat operands, and the axes back on the result
+                ac, bc = ac.reshape(-1), bc.reshape(-1)
+            out = np.bincount(kk, ac[ii] * bc[jj], spec.ncoeff)
+            return Jet(spec, out.reshape((spec.ncoeff,) + lead), bvalid, fvalid)
         out = np.zeros((spec.ncoeff,) + lead)
-        if math.prod(lead) < _GROUPED_MAX_POINTS:
+        if points < _GROUPED_MAX_POINTS:
             for i, js, ks in groups:
                 out[ks] += ac[i] * bc[js]
         else:
@@ -421,7 +483,7 @@ class Jet:
         broadcast against the jet's leading shape.
         """
         nil = self._nilpotent()
-        m = series.shape[0] - 1
+        m = min(series.shape[0] - 1, self._series_orders())
         out = Jet.constant(self.valid_spec, series[m], self.shape)
         for j in range(m - 1, -1, -1):
             out = out * nil
@@ -429,7 +491,15 @@ class Jet:
         return out
 
     def _series_orders(self) -> int:
-        return self.bvalid + self.fvalid
+        """The last power of the nilpotent part that can be nonzero in the valid box.
+
+        A kind of variable the jet does not store adds no order.  A jet that
+        stores its value alone still takes one step, so that its value comes
+        out as 0.0 + series[0], signed zeros included, as from a longer series.
+        """
+        orders = self.bvalid + self.fvalid
+        stored = self.bvalid * (self.spec.border > 0) + self.fvalid * (self.spec.forder > 0)
+        return min(orders, max(stored, 1))
 
     def _reciprocal(self):
         if self._recip is None:

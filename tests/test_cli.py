@@ -391,3 +391,23 @@ def test_config_null_for_option_with_default_exit_2(capsys, tmp_path, config):
                                "checkpoint_every": None, "fiber_cut": None}))
     code, _, _ = run_cli(capsys, *argv, "--out", str(out_dir))
     assert code == 0 and (out_dir / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"steps": 1.5}, ("flow", "--grid", "8,8,16")),
+    ({"steps": True}, ("flow", "--grid", "8,8,16")),
+    ({"stepper": "rk5"}, ("flow", "--grid", "8,8,16")),
+    ({"c": [1]}, ("report", "--x", "0.2,0.1", "--theta", "0.7")),
+])
+def test_config_value_through_flag_type_exit_2_writes_nothing(capsys, tmp_path, config, argv):
+    # steps 1.5 ended flow in a TypeError traceback after manifest.json was
+    # written, and c [1] ended report in one from the finiteness check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metric": "funk-disk" if argv[0] == "report"
+                               else "conformal-torus", **config}))
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "--config", str(cfg), *argv, "--out", str(out_dir))
+    assert code == 2 and out == ""
+    (rec,) = json_lines(err)
+    assert rec["code"] == 2 and repr(next(iter(config))) in rec["error"]
+    assert not out_dir.exists()

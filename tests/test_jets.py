@@ -350,9 +350,11 @@ def test_plans_and_maps_built_from_keys(sig):
     for sa in boxes:
         for sb in boxes:
             want_spec, want_trip, want_groups = _whole_box_plan_restricted(spec, tables, sa, sb)
-            got_spec, got_trip, got_groups = spec.mul_plan(sa, sb)
+            got_spec, got_trip, got_groups, got_flat = spec.mul_plan(sa, sb)
             assert got_spec is want_spec
             assert got_trip == want_trip
+            assert all(col.dtype == np.int64 for col in got_flat)
+            assert list(zip(*(col.tolist() for col in got_flat))) == want_trip
             assert all(type(t) is int for trip in got_trip for t in trip)
             assert len(got_groups) == len(want_groups)
             for (i, js, ks), (wi, wjs, wks) in zip(got_groups, want_groups):
@@ -496,3 +498,104 @@ def test_derivatives_past_the_support_box_are_zero():
     # a y seed with no fiber order is its value
     _, (yc, _) = vars_at([0.3, 0.4], [1.0, 0.7], border=1, forder=0)
     assert (yc.fvalid, yc.spec.ncoeff) == (0, 1) and yc.value() == 1.0
+
+
+def _at_points(c, lead):
+    """Coefficients on 7 points, tiled or cut to ``lead``: every path treats points alike."""
+    return np.take(c, np.arange(int(np.prod(lead))) % 7, axis=1).reshape(c.shape[:1] + lead)
+
+
+@pytest.mark.parametrize("sig", [(2, 2, 2, 6), (2, 1, 2, 2)])
+def test_product_paths_agree_for_every_stored_box_pair(sig):
+    # One point takes the scatter (one bincount), 2-511 points the groups and
+    # 512 the triplets; each must equal the dense whole-box product bit for
+    # bit, for every pair of stored boxes.
+    spec = jet_spec(*sig)
+    boxes = [spec.box(b, f)[0] for b in range(spec.border + 1) for f in range(spec.forder + 1)]
+    rng = np.random.default_rng(17)
+    for sa in boxes:
+        for sb in boxes:
+            A, B = rng.normal(size=(sa.ncoeff, 7)), rng.normal(size=(sb.ncoeff, 7))
+            A[rng.uniform(size=A.shape) < 0.1] = -0.0
+            want = _dense(_dense_product(Jet(sa, A, spec.border, spec.forder),
+                                         Jet(sb, B, spec.border, spec.forder)))
+            box = None
+            for lead in ((), (1,), (7,), (511,), (512,)):
+                cols = [slice(p, p + 1) for p in range(7)] if np.prod(lead) == 1 else [slice(7)]
+                for col in cols:
+                    got = (Jet(sa, _at_points(A[:, col], lead), spec.border, spec.forder)
+                           * Jet(sb, _at_points(B[:, col], lead), spec.border, spec.forder))
+                    if box is None:  # the product's box; the dense product is 0 outside it
+                        box = [spec.index(bm, fm) for bm, fm in got.spec.mons]
+                        assert not np.delete(want, box, axis=0).any()
+                    assert got.shape == lead
+                    assert got.c.tobytes() == _at_points(want[box, col], lead).tobytes(), (
+                        sa, sb, lead)
+
+
+def test_constant_sums_fold_into_the_value_coefficient():
+    # jet +- constant in either order keeps the bits of the constant padded
+    # to a jet, signed zeros included
+    spec = jet_spec(2, 2, 2, 4)
+    rng = np.random.default_rng(19)
+    for lead in ((), (5,)):
+        c = rng.normal(size=(spec.box(1, 2)[0].ncoeff,) + lead)
+        c[0], c[3], c[-1] = -0.0, -0.0, 0.0
+        a = Jet(spec.box(1, 2)[0], c, 2, 4)
+        for v in (0.0, -0.0, 1.5, np.array(-0.0), np.full(lead, -0.0), np.full((3,) + lead, 2.0),
+                  rng.normal(size=lead)):
+            padded = Jet.constant(a.valid_spec, v, a.shape)
+            for got, want in ((a + v, a + padded), (v + a, padded + a),
+                              (a - v, a - padded), (v - a, padded - a)):
+                assert got.spec is want.spec and got.shape == want.shape
+                assert (got.bvalid, got.fvalid) == (want.bvalid, want.fvalid)
+                assert got.c.tobytes() == want.c.tobytes(), (lead, v)
+
+
+def _full_horner(self, series):
+    """The uncut Horner: every power of the nilpotent part up to bvalid + fvalid."""
+    nil = self._nilpotent()
+    m = series.shape[0] - 1
+    out = Jet.constant(self.valid_spec, series[m], self.shape)
+    for j in range(m - 1, -1, -1):
+        out = out * nil
+        out.c[0] += series[j]
+    return out
+
+
+def _compose_cases(lead):
+    x = np.stack([np.full(lead, 0.3), np.full(lead, 0.4)], -1)
+    y = np.stack([np.full(lead, 1.1), np.full(lead, 0.7)], -1)
+    (x1, x2), (y1, y2) = vars_at(x, y, border=2, forder=6)
+    xonly = 1.3 + 0.4 * x1 * x2 + 0.1 * x1 * x1
+    yonly = y1 * y1 + 0.5 * y1 * y2 + 2.0 * y2 * y2
+    return {
+        "x-only": xonly, "y-only": yonly, "mixed": xonly * yonly + 0.3 * x2 * y1,
+        "x at 0": x1 - 0.3, "constant": Jet.constant(x1.valid_spec, 0.8, lead),
+        "constant -0": Jet.constant(x1.valid_spec, -0.0, lead),
+    }
+
+
+def test_compose_cut_matches_full_horner(monkeypatch):
+    # Horner stops at the last power of the nilpotent part that can be
+    # nonzero; the bits are those of the series run to bvalid + fvalid, the
+    # sign of sin(-0.0) on a constant included
+    fns = {
+        "reciprocal": lambda j: 1.0 / j, "sqrt_": sqrt_, "exp_": exp_, "log_": log_,
+        "sin_": sin_, "cos_": cos_, "atan_": atan_,
+        "power_": lambda j: power_(j, -1.5), "**": lambda j: j ** 2.5,
+    }
+    for lead in ((), (3,)):
+        cases = _compose_cases(lead)
+        assert [j._series_orders() for j in cases.values()] == [2, 6, 8, 2, 1, 1]
+        got = {(k, f): fn(j) for k, j in cases.items() for f, fn in fns.items()
+               if k not in ("x at 0", "constant -0") or f in ("sin_", "cos_", "atan_", "exp_")}
+        with monkeypatch.context() as m:
+            m.setattr(Jet, "compose", _full_horner)
+            m.setattr(Jet, "_series_orders", lambda self: self.bvalid + self.fvalid)
+            cases = _compose_cases(lead)
+            want = {(k, f): fns[f](cases[k]) for k, f in got}
+        for key, jet in got.items():
+            ref = want[key]
+            assert jet.spec is ref.spec and (jet.bvalid, jet.fvalid) == (ref.bvalid, ref.fvalid)
+            assert jet.c.tobytes() == ref.c.tobytes(), (key, lead)

@@ -327,3 +327,40 @@ def test_centred_differences_reject_bad_t_step(gs_flat, euclidean, t_step):
     for call in (family_variation, variation_residuals):
         with pytest.raises(ValueError, match="t_step must be positive and finite"):
             call(fam, gs_flat, t_step=t_step)
+
+
+def _fiber_direction(bg, fg, seed: int) -> np.ndarray:
+    """10 random trigonometric modes (fiber modes m <= 4), theta-mean removed, max |v| = 1."""
+    rng = np.random.default_rng(seed)
+    x = bg.nodes()[:, :, None, :]
+    v = np.zeros(bg.shape + (fg.n_theta,))
+    for _ in range(10):
+        (k1, k2), m = rng.integers(-2, 3, 2), rng.integers(0, 5)
+        phase = k1 * x[..., 0] + k2 * x[..., 1] + m * fg.thetas + rng.uniform(0, TWO_PI)
+        v = v + rng.normal() * np.cos(phase)
+    v -= v.mean(axis=-1, keepdims=True)
+    return v / np.abs(v).max()
+
+
+def test_first_variation_of_I_vanishes_on_zero_gem_gap_entries():
+    # The paper's first situation: I = int Htilde eta is critical under every
+    # variation of F exactly where the GEM gap vanishes.  The central quotient
+    # (I(u + eps v) - I(u - eps v)) / 2 eps along a fiber-dependent v of
+    # u = log F falls as eps^2 on the four zero-gap entries; on randers-torus
+    # (gap 0.39) it converges to a nonzero limit.
+    bg, fg = ff.build_grid(2, 32, TWO_PI, 48)
+    v = _fiber_direction(bg, fg, seed=3)
+
+    def quotient(logF, eps):
+        Ip, Im = (GridStructure(logF + s * eps * v, bg, fg, "spectral").h_tilde_integral
+                  for s in (1.0, -1.0))
+        return (Ip - Im) / (2.0 * eps)
+
+    for name in ("aniso-quadratic", "conformal-torus", "euclidean", "quartic-minkowski",
+                 "randers-torus"):
+        logF = GridStructure(ff.get_entry(name).structure, bg, fg, base_mode="spectral").logF
+        q4, q5 = quotient(logF, 1e-4), quotient(logF, 1e-5)
+        if name == "randers-torus":
+            assert abs(q4) >= 0.1 and abs(q4 - q5) <= 1e-4 * abs(q5), (q4, q5)
+        else:
+            assert abs(q4) <= 1e-5 and abs(q5) <= 1e-7, (name, q4, q5)
